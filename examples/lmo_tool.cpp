@@ -135,21 +135,11 @@ int cmd_estimate(const Cli& cli) {
                   "must be persisted for merging");
     const estimate::LmoOptions lopts;
     const sim::Topology* topo = ex.topology();
-    {
-      estimate::PlanBuilder stage1(topo);
-      estimate::plan_lmo_roundtrips(stage1, cfg.size(), lopts);
-      (void)estimate::execute_plan(stage1.build(lopts.parallel), ex, store,
-                                   shard);
-    }
-    bool stage1_done = true;
-    for (const auto& [i, j] : estimate::all_pairs(cfg.size()))
-      if (!store.contains(estimate::ExperimentKey::roundtrip(i, j, 0, 0)) ||
-          !store.contains(estimate::ExperimentKey::roundtrip(
-              i, j, lopts.probe_size, lopts.probe_size))) {
-        stage1_done = false;
-        break;
-      }
-    if (stage1_done) {
+    estimate::PlanBuilder stage1(topo);
+    estimate::plan_lmo_roundtrips(stage1, cfg.size(), lopts);
+    const estimate::ExperimentPlan plan1 = stage1.build(lopts.parallel);
+    (void)estimate::execute_plan(plan1, ex, store, shard);
+    if (estimate::plan_complete(plan1, store)) {
       estimate::PlanBuilder stage2(topo);
       estimate::plan_lmo_one_to_two(stage2, store, cfg.size(), lopts);
       (void)estimate::execute_plan(stage2.build(lopts.parallel), ex, store,

@@ -1,11 +1,14 @@
 #include "coll/collectives.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "coll/zoo.hpp"
 #include "util/error.hpp"
 
 namespace lmo::coll {
 
+using trees::TreeKind;
 using vmpi::Comm;
 using vmpi::Task;
 
@@ -21,15 +24,6 @@ std::vector<int> inverse_mapping(const std::vector<int>& mapping, int n) {
   }
   return inverse;
 }
-
-namespace {
-/// Virtual rank of `rank` in a tree rooted at `root`, given the inverse
-/// mapping precomputed once per collective (empty = MPI convention).
-int virtual_rank(const std::vector<int>& inverse, int rank, int root, int n) {
-  if (inverse.empty()) return (rank - root + n) % n;
-  return inverse[std::size_t(rank)];
-}
-}  // namespace
 
 Task linear_scatter(Comm& c, int root, Bytes block) {
   LMO_CHECK(root >= 0 && root < c.size());
@@ -55,39 +49,12 @@ Task linear_gather(Comm& c, int root, Bytes block) {
 
 Task binomial_scatter(Comm& c, int root, Bytes block,
                       std::vector<int> mapping) {
-  const int n = c.size();
-  LMO_CHECK(root >= 0 && root < n);
-  LMO_CHECK(block >= 0);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
-  if (v != 0) {
-    const int parent = trees::map_rank(mapping, trees::binomial_parent(v),
-                                       root, n);
-    co_await c.recv(parent);
-  }
-  for (int child_v : trees::binomial_children(v, n)) {
-    const Bytes bytes =
-        Bytes(trees::binomial_subtree_blocks(child_v, n)) * block;
-    co_await c.send(trees::map_rank(mapping, child_v, root, n), bytes);
-  }
+  return tree_scatter(c, TreeKind::kBinomial, root, block, std::move(mapping));
 }
 
 Task binomial_gather(Comm& c, int root, Bytes block,
                      std::vector<int> mapping) {
-  const int n = c.size();
-  LMO_CHECK(root >= 0 && root < n);
-  LMO_CHECK(block >= 0);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
-  // Receive subtrees smallest-first: the exact reverse of scatter's order,
-  // so the largest (slowest) subtree has the most time to accumulate.
-  auto children = trees::binomial_children(v, n);
-  std::reverse(children.begin(), children.end());
-  for (int child_v : children)
-    co_await c.recv(trees::map_rank(mapping, child_v, root, n));
-  if (v != 0) {
-    const Bytes bytes = Bytes(trees::binomial_subtree_blocks(v, n)) * block;
-    co_await c.send(trees::map_rank(mapping, trees::binomial_parent(v), root, n),
-                    bytes);
-  }
+  return tree_gather(c, TreeKind::kBinomial, root, block, std::move(mapping));
 }
 
 Task split_gather(Comm& c, int root, Bytes block, Bytes chunk) {
@@ -149,14 +116,7 @@ Task linear_bcast(Comm& c, int root, Bytes bytes) {
 
 Task binomial_bcast(Comm& c, int root, Bytes bytes,
                     std::vector<int> mapping) {
-  const int n = c.size();
-  LMO_CHECK(root >= 0 && root < n);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
-  if (v != 0)
-    co_await c.recv(trees::map_rank(mapping, trees::binomial_parent(v),
-                                    root, n));
-  for (int child_v : trees::binomial_children(v, n))
-    co_await c.send(trees::map_rank(mapping, child_v, root, n), bytes);
+  return tree_bcast(c, TreeKind::kBinomial, root, bytes, std::move(mapping));
 }
 
 Task linear_reduce(Comm& c, int root, Bytes bytes) {
@@ -175,20 +135,7 @@ Task linear_reduce(Comm& c, int root, Bytes bytes) {
 
 Task binomial_reduce(Comm& c, int root, Bytes bytes,
                      std::vector<int> mapping) {
-  const int n = c.size();
-  LMO_CHECK(root >= 0 && root < n);
-  LMO_CHECK(bytes >= 0);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
-  auto children = trees::binomial_children(v, n);
-  std::reverse(children.begin(), children.end());
-  for (int child_v : children) {
-    co_await c.recv(trees::map_rank(mapping, child_v, root, n));
-    co_await c.compute(bytes);
-  }
-  if (v != 0)
-    co_await c.send(trees::map_rank(mapping, trees::binomial_parent(v),
-                                    root, n),
-                    bytes);
+  return tree_reduce(c, TreeKind::kBinomial, root, bytes, std::move(mapping));
 }
 
 Task ring_allgather(Comm& c, Bytes block) {

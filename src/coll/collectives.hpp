@@ -41,7 +41,8 @@ vmpi::Task linear_gather(vmpi::Comm& c, int root, Bytes block);
 
 /// Binomial-tree scatter (paper Fig. 2), largest subtree first. `mapping`
 /// assigns physical ranks to virtual tree nodes; empty = MPI default
-/// (v + root) mod n.
+/// (v + root) mod n. Same as tree_scatter(TreeKind::kBinomial) (zoo.hpp),
+/// and so for the other binomial_* collectives.
 vmpi::Task binomial_scatter(vmpi::Comm& c, int root, Bytes block,
                             std::vector<int> mapping = {});
 

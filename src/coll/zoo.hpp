@@ -21,8 +21,9 @@
 namespace lmo::coll {
 
 /// Tree broadcast: recv from parent, forward to children (send order),
-/// chunk by chunk. kFlat reproduces linear_bcast, kBinomial the binomial
-/// broadcast.
+/// chunk by chunk. kBinomial is binomial_bcast. kFlat reproduces
+/// linear_bcast only for root 0: linear_* send in rank order, kFlat in
+/// (v + root) mod n order, which is why linear_* stay separate.
 vmpi::Task tree_bcast(vmpi::Comm& c, trees::TreeKind kind, int root,
                       Bytes bytes, std::vector<int> mapping = {},
                       Bytes segment = 0);

@@ -35,49 +35,119 @@ void check_options(int n, const LmoOptions& opts) {
   LMO_CHECK(opts.probe_size > 0);
 }
 
-/// The measured round-trip tables T_ij(0), T_ij(M), read back by key.
+/// T_ij(0) and T_ij(M), read back by key and checked finite.
+std::pair<double, double> read_roundtrip(const MeasurementStore& store, int i,
+                                         int j, Bytes m) {
+  const double t0 = store.at(ExperimentKey::roundtrip(i, j, 0, 0));
+  const double tm = store.at(ExperimentKey::roundtrip(i, j, m, m));
+  LMO_CHECK_MSG(std::isfinite(t0) && std::isfinite(tm),
+                "LMO fit read a non-finite round-trip for pair " +
+                    std::to_string(std::min(i, j)) + "," +
+                    std::to_string(std::max(i, j)));
+  return {t0, tm};
+}
+
+/// The measured round-trip tables T_ij(0), T_ij(M) of the exact fit.
 struct PairTables {
   models::PairTable t0, tm;
+
+  [[nodiscard]] TripletRoundtrips of(const Triplet& t) const {
+    TripletRoundtrips rt;
+    for (std::size_t a = 0; a < 3; ++a)
+      for (std::size_t b = 0; b < 3; ++b) {
+        if (a == b) continue;
+        rt.t0[a][b] = t0(t[a], t[b]);
+        rt.tm[a][b] = tm(t[a], t[b]);
+      }
+    return rt;
+  }
 };
 
 PairTables read_pair_tables(const MeasurementStore& store, int n, Bytes m) {
   PairTables t{models::PairTable(n), models::PairTable(n)};
   for (const auto& [i, j] : all_pairs(n)) {
-    const double t0 = store.at(ExperimentKey::roundtrip(i, j, 0, 0));
-    const double tm = store.at(ExperimentKey::roundtrip(i, j, m, m));
-    // The triplet systems difference and divide these; a NaN/inf here
-    // (corrupt store edit) would silently poison every parameter it
-    // touches, so fail loudly with the pair named.
-    LMO_CHECK_MSG(std::isfinite(t0) && std::isfinite(tm),
-                  "LMO fit read a non-finite round-trip for pair " +
-                      std::to_string(i) + "," + std::to_string(j));
+    const auto [t0, tm] = read_roundtrip(store, i, j, m);
     t.t0(i, j) = t.t0(j, i) = t0;
     t.tm(i, j) = t.tm(j, i) = tm;
   }
   return t;
 }
 
-// Orientation: the "far" child is sent last and received first, which
-// puts the root's serialized processing on the critical path exactly as
-// eqs. (8)/(11) assume. "Far" must agree with the max in the equation
-// being solved: argmax T_ix(0) for the empty experiment (eq. 8) and
-// argmax (T_ix(0) + T_ix(M)) for the probe experiment (eq. 11) — the two
-// can disagree when a processor pairs a slow CPU with a fast link.
-// Derived from *stored* round-trips, the orientation is a pure function of
-// the store — refits orient identically.
-Triplet orient_0(const PairTables& t, int root, int x, int y) {
-  if (x > y) std::swap(x, y);  // canonical: ties resolve identically
-  return t.t0(root, x) >= t.t0(root, y) ? Triplet{root, y, x}
-                                        : Triplet{root, x, y};
-}
-
-Triplet orient_m(const PairTables& t, int root, int x, int y) {
-  if (x > y) std::swap(x, y);
-  const double sx = t.t0(root, x) + t.tm(root, x);
-  const double sy = t.t0(root, y) + t.tm(root, y);
-  return sx >= sy ? Triplet{root, y, x} : Triplet{root, x, y};
+/// Every triplet i < j < k, in lexicographic order.
+template <typename Fn>
+void for_each_triplet(int n, Fn&& fn) {
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      for (int k = j + 1; k < n; ++k) fn(Triplet{i, j, k});
 }
 }  // namespace
+
+TripletRoundtrips read_triplet_roundtrips(const MeasurementStore& store,
+                                          const Triplet& t, Bytes m) {
+  TripletRoundtrips rt;
+  for (std::size_t a = 0; a < 3; ++a)
+    for (std::size_t b = a + 1; b < 3; ++b) {
+      const auto [t0, tm] = read_roundtrip(store, t[a], t[b], m);
+      rt.t0[a][b] = rt.t0[b][a] = t0;
+      rt.tm[a][b] = rt.tm[b][a] = tm;
+    }
+  return rt;
+}
+
+std::array<ExperimentKey, 6> triplet_one_to_two_keys(
+    const Triplet& t, const TripletRoundtrips& rt, Bytes m) {
+  std::array<ExperimentKey, 6> keys;
+  for (std::size_t a = 0; a < 3; ++a) {
+    std::size_t x = (a + 1) % 3, y = (a + 2) % 3;
+    if (t[x] > t[y]) std::swap(x, y);  // canonical: ties resolve identically
+    const auto far_last = [&](bool x_far) {
+      return x_far ? Triplet{t[a], t[y], t[x]} : Triplet{t[a], t[x], t[y]};
+    };
+    keys[2 * a] = ExperimentKey::one_to_two(
+        far_last(rt.t0[a][x] >= rt.t0[a][y]), 0, 0);
+    keys[2 * a + 1] = ExperimentKey::one_to_two(
+        far_last(rt.t0[a][x] + rt.tm[a][x] >= rt.t0[a][y] + rt.tm[a][y]), m,
+        0);
+  }
+  return keys;
+}
+
+TripletSolution solve_triplet(const MeasurementStore& store, const Triplet& t,
+                              const TripletRoundtrips& rt, Bytes m) {
+  const std::array<ExperimentKey, 6> keys = triplet_one_to_two_keys(t, rt, m);
+  std::array<double, 6> o2{};
+  for (std::size_t e = 0; e < 6; ++e) {
+    o2[e] = store.at(keys[e]);
+    LMO_CHECK_MSG(std::isfinite(o2[e]),
+                  "LMO fit read a non-finite one-to-two value for " +
+                      keys[e].describe());
+  }
+  TripletSolution s;
+  // Processing constants (eq. 8), one per root.
+  for (std::size_t a = 0; a < 3; ++a) {
+    const std::size_t x = (a + 1) % 3, y = (a + 2) % 3;
+    s.C[a] = (o2[2 * a] - std::max(rt.t0[a][x], rt.t0[a][y])) / 2.0;
+  }
+  // Latencies from the round-trips and this triplet's constants (eq. 8).
+  for (std::size_t a = 0; a < 3; ++a)
+    for (std::size_t b = a + 1; b < 3; ++b)
+      s.L[a][b] = rt.t0[a][b] / 2.0 - s.C[a] - s.C[b];
+  // Per-byte delays (eq. 11).
+  for (std::size_t a = 0; a < 3; ++a) {
+    const std::size_t x = (a + 1) % 3, y = (a + 2) % 3;
+    const double mx = std::max(rt.t0[a][x] + rt.tm[a][x],
+                               rt.t0[a][y] + rt.tm[a][y]) /
+                      2.0;
+    s.t[a] = (o2[2 * a + 1] - mx - 2.0 * s.C[a]) / double(m);
+  }
+  // Transmission rates (eq. 11).
+  for (std::size_t a = 0; a < 3; ++a)
+    for (std::size_t b = a + 1; b < 3; ++b)
+      s.inv_beta[a][b] =
+          (rt.tm[a][b] / 2.0 - s.C[a] - s.L[a][b] - s.C[b]) / double(m) -
+          s.t[a] - s.t[b];
+  return s;
+}
 
 void plan_lmo_roundtrips(PlanBuilder& plan, int n, const LmoOptions& opts) {
   check_options(n, opts);
@@ -91,18 +161,12 @@ void plan_lmo_roundtrips(PlanBuilder& plan, int n, const LmoOptions& opts) {
 void plan_lmo_one_to_two(PlanBuilder& plan, const MeasurementStore& store,
                          int n, const LmoOptions& opts) {
   check_options(n, opts);
-  const PairTables t = read_pair_tables(store, n, opts.probe_size);
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j)
-      for (int k = j + 1; k < n; ++k)
-        for (const int root : {i, j, k}) {
-          const int x = root == i ? j : i;
-          const int y = root == k ? j : k;
-          plan.require(
-              ExperimentKey::one_to_two(orient_0(t, root, x, y), 0, 0));
-          plan.require(ExperimentKey::one_to_two(orient_m(t, root, x, y),
-                                                 opts.probe_size, 0));
-        }
+  const PairTables tables = read_pair_tables(store, n, opts.probe_size);
+  for_each_triplet(n, [&](const Triplet& t) {
+    for (const ExperimentKey& k :
+         triplet_one_to_two_keys(t, tables.of(t), opts.probe_size))
+      plan.require(k);
+  });
 }
 
 LmoReport fit_lmo(const MeasurementStore& store, int n,
@@ -115,15 +179,7 @@ LmoReport fit_lmo(const MeasurementStore& store, int n,
   report.roundtrip_experiments = n * (n - 1) / 2;
   report.one_to_two_experiments = 3 * (n * (n - 1) * (n - 2) / 6);
 
-  const PairTables t = read_pair_tables(store, n, m);
-  const models::PairTable& t_pair_0 = t.t0;
-  const models::PairTable& t_pair_m = t.tm;
-  auto o2_0 = [&](int root, int x, int y) {
-    return store.at(ExperimentKey::one_to_two(orient_0(t, root, x, y), 0, 0));
-  };
-  auto o2_m = [&](int root, int x, int y) {
-    return store.at(ExperimentKey::one_to_two(orient_m(t, root, x, y), m, 0));
-  };
+  const PairTables tables = read_pair_tables(store, n, m);
 
   // ---- Per-triplet systems (8) and (11), averaged per (12). ----
   std::vector<Averager> c_acc(std::size_t(n),
@@ -135,64 +191,21 @@ LmoReport fit_lmo(const MeasurementStore& store, int n,
                           std::size_t(n), Averager(opts.redundancy_averaging)));
   auto ib_acc = l_acc;  // same shape for 1/beta
 
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j)
-      for (int k = j + 1; k < n; ++k) {
-        const std::array<int, 3> nodes{i, j, k};
-        // Per-triplet constants (eq. 8), one per orientation.
-        double c_of[3];
-        for (int a = 0; a < 3; ++a) {
-          const int root = nodes[std::size_t(a)];
-          const int x1 = nodes[std::size_t((a + 1) % 3)];
-          const int x2 = nodes[std::size_t((a + 2) % 3)];
-          const double o2 = o2_0(root, x1, x2);
-          const double mx = std::max(t_pair_0(root, x1), t_pair_0(root, x2));
-          c_of[a] = (o2 - mx) / 2.0;
-          c_acc[std::size_t(root)].add(c_of[a]);
-        }
-        // Latencies from the round-trips and this triplet's constants.
-        auto c_in_triplet = [&](int node) {
-          for (int a = 0; a < 3; ++a)
-            if (nodes[std::size_t(a)] == node) return c_of[a];
-          LMO_CHECK_MSG(false, "node not in triplet");
-          return 0.0;
-        };
-        double l_of[3][3] = {};
-        for (int a = 0; a < 3; ++a)
-          for (int b = a + 1; b < 3; ++b) {
-            const int u = nodes[std::size_t(a)], v = nodes[std::size_t(b)];
-            const double l =
-                t_pair_0(u, v) / 2.0 - c_in_triplet(u) - c_in_triplet(v);
-            l_of[a][b] = l;
-            l_acc[std::size_t(u)][std::size_t(v)].add(l);
-            l_acc[std::size_t(v)][std::size_t(u)].add(l);
-          }
-        // Per-byte delays (eq. 11).
-        double t_of[3];
-        for (int a = 0; a < 3; ++a) {
-          const int root = nodes[std::size_t(a)];
-          const int x1 = nodes[std::size_t((a + 1) % 3)];
-          const int x2 = nodes[std::size_t((a + 2) % 3)];
-          const double o2m = o2_m(root, x1, x2);
-          const double mx =
-              std::max(t_pair_0(root, x1) + t_pair_m(root, x1),
-                       t_pair_0(root, x2) + t_pair_m(root, x2)) /
-              2.0;
-          t_of[a] = (o2m - mx - 2.0 * c_of[a]) / double(m);
-          t_acc[std::size_t(root)].add(t_of[a]);
-        }
-        // Transmission rates (eq. 11).
-        for (int a = 0; a < 3; ++a)
-          for (int b = a + 1; b < 3; ++b) {
-            const int u = nodes[std::size_t(a)], v = nodes[std::size_t(b)];
-            const double inv_beta =
-                (t_pair_m(u, v) / 2.0 - c_of[a] - l_of[a][b] - c_of[b]) /
-                    double(m) -
-                t_of[a] - t_of[b];
-            ib_acc[std::size_t(u)][std::size_t(v)].add(inv_beta);
-            ib_acc[std::size_t(v)][std::size_t(u)].add(inv_beta);
-          }
+  for_each_triplet(n, [&](const Triplet& t) {
+    const TripletSolution s = solve_triplet(store, t, tables.of(t), m);
+    for (std::size_t a = 0; a < 3; ++a) {
+      c_acc[std::size_t(t[a])].add(s.C[a]);
+      t_acc[std::size_t(t[a])].add(s.t[a]);
+    }
+    for (std::size_t a = 0; a < 3; ++a)
+      for (std::size_t b = a + 1; b < 3; ++b) {
+        const auto u = std::size_t(t[a]), v = std::size_t(t[b]);
+        l_acc[u][v].add(s.L[a][b]);
+        l_acc[v][u].add(s.L[a][b]);
+        ib_acc[u][v].add(s.inv_beta[a][b]);
+        ib_acc[v][u].add(s.inv_beta[a][b]);
       }
+  });
 
   // ---- Assemble. Negative estimates (noise artifacts) clamp to zero. ----
   core::LmoParams& p = report.params;
@@ -250,11 +263,11 @@ LmoReport fit_lmo(const MeasurementStore& store, int n,
       const int level = topo != nullptr ? topo->lca_level(i, j) : -1;
       obs::record_residual("lmo", "roundtrip",
                            obs::ResidualScope::kPointToPoint, level, 0,
-                           2.0 * p.pt2pt(i, j, 0), t_pair_0(i, j));
+                           2.0 * p.pt2pt(i, j, 0), tables.t0(i, j));
       obs::record_residual("lmo", "roundtrip",
                            obs::ResidualScope::kPointToPoint, level,
                            std::uint64_t(m), 2.0 * p.pt2pt(i, j, m),
-                           t_pair_m(i, j));
+                           tables.tm(i, j));
     }
   }
   return report;

@@ -17,6 +17,8 @@
 // triplets run concurrently (single-switch property).
 #pragma once
 
+#include <array>
+
 #include "core/lmo_model.hpp"
 #include "estimate/experimenter.hpp"
 #include "estimate/plan.hpp"
@@ -47,19 +49,65 @@ struct LmoReport {
   SimTime estimation_cost;
 };
 
+// ---- The per-triplet step, shared by the exact and the sampled fit. ----
+
+/// Measured round-trips of one triplet t, indexed by position in t:
+/// t0[a][b] = T_{t[a] t[b]}(0) and tm[a][b] = T_{t[a] t[b]}(M), symmetric,
+/// diagonal unused.
+struct TripletRoundtrips {
+  std::array<std::array<double, 3>, 3> t0{}, tm{};
+};
+
+/// Read the three pairs' round-trips of `t` from the store. Throws
+/// lmo::Error naming the experiment on a missing value and the pair on a
+/// non-finite one: the triplet systems difference and divide these, so a
+/// NaN would silently poison every parameter it touches.
+[[nodiscard]] TripletRoundtrips read_triplet_roundtrips(
+    const MeasurementStore& store, const Triplet& t, Bytes m);
+
+/// The six oriented one-to-two experiments of `t`: root t[0], t[1], t[2]
+/// in turn, each as the empty probe (eq. 8) then the M probe (eq. 11).
+/// The "far" child is sent last and received first, which puts the
+/// root's serialized processing on the critical path exactly as the
+/// equations assume. "Far" agrees with the max of the equation being
+/// solved — argmax T_ix(0) for the empty probe, argmax T_ix(0) + T_ix(M)
+/// for the M probe (the two differ when a processor pairs a slow CPU with
+/// a fast link) — and ties resolve on node order. Derived from stored
+/// round-trips, orientation is a pure function of the store.
+[[nodiscard]] std::array<ExperimentKey, 6> triplet_one_to_two_keys(
+    const Triplet& t, const TripletRoundtrips& rt, Bytes m);
+
+/// One triplet's solution of eqs. (8) and (11), indexed by position in
+/// the triplet: C/t per node, L/1-over-beta per pair (a < b only).
+struct TripletSolution {
+  std::array<double, 3> C{}, t{};
+  std::array<std::array<double, 3>, 3> L{}, inv_beta{};
+};
+
+/// Solve eqs. (8) and (11) for triplet `t`, reading its six one-to-two
+/// experiments from the store. Throws lmo::Error naming the experiment on
+/// a non-finite one-to-two value. Unclamped: the fits average first
+/// (eq. 12) and clamp the averages.
+[[nodiscard]] TripletSolution solve_triplet(const MeasurementStore& store,
+                                            const Triplet& t,
+                                            const TripletRoundtrips& rt,
+                                            Bytes m);
+
+// ---- The exact fit: every triplet, averaged per node and per pair. ----
+
 /// Stage 1 requirements: all round-trips T_ij(0), T_ij(M).
 void plan_lmo_roundtrips(PlanBuilder& plan, int n, const LmoOptions& opts = {});
 
-/// Stage 2 requirements: the oriented one-to-two experiments. Orientation
-/// (which child is "far") is data-dependent — it derives from the measured
-/// round-trips — so the store must already hold every stage-1 experiment.
+/// Stage 2 requirements: triplet_one_to_two_keys of every triplet.
+/// Orientation derives from the measured round-trips, so the store must
+/// already hold every stage-1 experiment.
 void plan_lmo_one_to_two(PlanBuilder& plan, const MeasurementStore& store,
                          int n, const LmoOptions& opts = {});
 
-/// Solve eqs. (8)/(11) per triplet and average per (12), reading both
-/// experiment stages from the store. Pure and bit-stable: orientations are
-/// recomputed from the stored round-trips, so the same store always yields
-/// the same parameters.
+/// solve_triplet over all C(n,3) triplets, averaged per node and per pair
+/// (eq. 12), reading both experiment stages from the store. Pure and
+/// bit-stable: orientations are recomputed from the stored round-trips,
+/// so the same store always yields the same parameters.
 [[nodiscard]] LmoReport fit_lmo(const MeasurementStore& store, int n,
                                 const LmoOptions& opts = {});
 

@@ -349,6 +349,14 @@ ShardSpec ShardSpec::parse(const std::string& text) {
   return s;
 }
 
+bool plan_complete(const ExperimentPlan& plan,
+                   const MeasurementStore& store) {
+  for (const PlannedRound& round : plan.rounds)
+    for (const ExperimentKey& k : round.keys)
+      if (!store.contains(k)) return false;
+  return true;
+}
+
 ExecuteStats execute_plan(const ExperimentPlan& plan, Experimenter& ex,
                           MeasurementStore& store, const ShardSpec& shard) {
   const obs::Span sp = obs::span("plan.execute");

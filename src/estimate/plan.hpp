@@ -153,6 +153,11 @@ class PlanBuilder {
   const sim::Topology* topo_ = nullptr;
 };
 
+/// True when `store` holds every key of `plan` — the "stage complete?"
+/// check a sharded pass makes before planning the next stage from it.
+[[nodiscard]] bool plan_complete(const ExperimentPlan& plan,
+                                 const MeasurementStore& store);
+
 struct ExecuteStats {
   std::size_t measured = 0;  ///< keys actually run on the platform
   std::size_t cached = 0;    ///< keys served by the store

@@ -4,8 +4,8 @@
 #include <array>
 #include <map>
 #include <set>
-#include <utility>
 
+#include "estimate/lmo_estimator.hpp"
 #include "estimate/measurement_store.hpp"
 #include "obs/trace.hpp"
 #include "stats/summary.hpp"
@@ -19,68 +19,6 @@ void check_options(int n, const ScaleOptions& opts) {
   LMO_CHECK_MSG(n >= 3, "scale estimation needs at least three processors");
   LMO_CHECK(opts.probe_size > 0);
   LMO_CHECK(opts.triplets_per_level >= 1);
-}
-
-double rt0(const MeasurementStore& s, int i, int j) {
-  return s.at(ExperimentKey::roundtrip(i, j, 0, 0));
-}
-double rtm(const MeasurementStore& s, Bytes m, int i, int j) {
-  return s.at(ExperimentKey::roundtrip(i, j, m, m));
-}
-
-// Same orientation rules as the exact LMO fit (lmo_estimator.cpp): the
-// "far" child is sent last / received first, "far" agreeing with the max
-// of the equation being solved, ties resolved on canonical node order.
-Triplet orient_0(const MeasurementStore& s, int root, int x, int y) {
-  if (x > y) std::swap(x, y);
-  return rt0(s, root, x) >= rt0(s, root, y) ? Triplet{root, y, x}
-                                            : Triplet{root, x, y};
-}
-
-Triplet orient_m(const MeasurementStore& s, Bytes m, int root, int x, int y) {
-  if (x > y) std::swap(x, y);
-  const double sx = rt0(s, root, x) + rtm(s, m, root, x);
-  const double sy = rt0(s, root, y) + rtm(s, m, root, y);
-  return sx >= sy ? Triplet{root, y, x} : Triplet{root, x, y};
-}
-
-/// The stage-2 keys, in deterministic triplet order. Orientation reads
-/// the stored stage-1 round-trips.
-std::vector<ExperimentKey> one_to_two_keys(const MeasurementStore& store,
-                                           const std::vector<Triplet>& ts,
-                                           Bytes m) {
-  std::vector<ExperimentKey> keys;
-  for (const Triplet& t : ts)
-    for (int a = 0; a < 3; ++a) {
-      const int root = t[std::size_t(a)];
-      const int x = t[std::size_t((a + 1) % 3)];
-      const int y = t[std::size_t((a + 2) % 3)];
-      keys.push_back(
-          ExperimentKey::one_to_two(orient_0(store, root, x, y), 0, 0));
-      keys.push_back(
-          ExperimentKey::one_to_two(orient_m(store, m, root, x, y), m, 0));
-    }
-  return keys;
-}
-
-bool have_roundtrips(const MeasurementStore& store,
-                     const std::vector<Triplet>& ts, Bytes m) {
-  for (const Triplet& t : ts)
-    for (int a = 0; a < 3; ++a)
-      for (int b = a + 1; b < 3; ++b) {
-        const int u = t[std::size_t(a)], v = t[std::size_t(b)];
-        if (!store.contains(ExperimentKey::roundtrip(u, v, 0, 0)) ||
-            !store.contains(ExperimentKey::roundtrip(u, v, m, m)))
-          return false;
-      }
-  return true;
-}
-
-bool have_one_to_two(const MeasurementStore& store,
-                     const std::vector<Triplet>& ts, Bytes m) {
-  for (const ExperimentKey& k : one_to_two_keys(store, ts, m))
-    if (!store.contains(k)) return false;
-  return true;
 }
 
 double clamped(const stats::RunningStats& s) {
@@ -208,9 +146,11 @@ void plan_scale_one_to_two(PlanBuilder& plan, const MeasurementStore& store,
                            const std::vector<Triplet>& triplets,
                            const ScaleOptions& opts) {
   LMO_CHECK(opts.probe_size > 0);
-  for (const ExperimentKey& k :
-       one_to_two_keys(store, triplets, opts.probe_size))
-    plan.require(k);
+  for (const Triplet& t : triplets)
+    for (const ExperimentKey& k : triplet_one_to_two_keys(
+             t, read_triplet_roundtrips(store, t, opts.probe_size),
+             opts.probe_size))
+      plan.require(k);
 }
 
 ScaleLmoReport fit_scale_lmo(const MeasurementStore& store, int n,
@@ -238,50 +178,20 @@ ScaleLmoReport fit_scale_lmo(const MeasurementStore& store, int n,
     return topo != nullptr ? topo->lca_level(u, v) : 1;
   };
 
-  // The per-triplet systems (8) and (11) of the exact fit, solved for the
-  // sampled triplets only.
+  // The exact fit's per-triplet systems (8) and (11), solved for the
+  // sampled triplets only and accumulated per node and per LCA level.
   for (const Triplet& nodes : report.triplets) {
-    double c_of[3];
-    for (int a = 0; a < 3; ++a) {
-      const int root = nodes[std::size_t(a)];
-      const int x1 = nodes[std::size_t((a + 1) % 3)];
-      const int x2 = nodes[std::size_t((a + 2) % 3)];
-      const double o2 = store.at(
-          ExperimentKey::one_to_two(orient_0(store, root, x1, x2), 0, 0));
-      const double mx = std::max(rt0(store, root, x1), rt0(store, root, x2));
-      c_of[a] = (o2 - mx) / 2.0;
-      c_acc[root].add(c_of[a]);
+    const TripletSolution s = solve_triplet(
+        store, nodes, read_triplet_roundtrips(store, nodes, m), m);
+    for (std::size_t a = 0; a < 3; ++a) {
+      c_acc[nodes[a]].add(s.C[a]);
+      t_acc[nodes[a]].add(s.t[a]);
     }
-    double l_of[3][3] = {};
-    for (int a = 0; a < 3; ++a)
-      for (int b = a + 1; b < 3; ++b) {
-        const int u = nodes[std::size_t(a)], v = nodes[std::size_t(b)];
-        const double l = rt0(store, u, v) / 2.0 - c_of[a] - c_of[b];
-        l_of[a][b] = l;
-        l_acc[std::size_t(level_of(u, v) - 1)].add(l);
-      }
-    double t_of[3];
-    for (int a = 0; a < 3; ++a) {
-      const int root = nodes[std::size_t(a)];
-      const int x1 = nodes[std::size_t((a + 1) % 3)];
-      const int x2 = nodes[std::size_t((a + 2) % 3)];
-      const double o2m = store.at(
-          ExperimentKey::one_to_two(orient_m(store, m, root, x1, x2), m, 0));
-      const double mx =
-          std::max(rt0(store, root, x1) + rtm(store, m, root, x1),
-                   rt0(store, root, x2) + rtm(store, m, root, x2)) /
-          2.0;
-      t_of[a] = (o2m - mx - 2.0 * c_of[a]) / double(m);
-      t_acc[root].add(t_of[a]);
-    }
-    for (int a = 0; a < 3; ++a)
-      for (int b = a + 1; b < 3; ++b) {
-        const int u = nodes[std::size_t(a)], v = nodes[std::size_t(b)];
-        const double inv_beta =
-            (rtm(store, m, u, v) / 2.0 - c_of[a] - l_of[a][b] - c_of[b]) /
-                double(m) -
-            t_of[a] - t_of[b];
-        ib_acc[std::size_t(level_of(u, v) - 1)].add(inv_beta);
+    for (std::size_t a = 0; a < 3; ++a)
+      for (std::size_t b = a + 1; b < 3; ++b) {
+        const auto level = std::size_t(level_of(nodes[a], nodes[b]) - 1);
+        l_acc[level].add(s.L[a][b]);
+        ib_acc[level].add(s.inv_beta[a][b]);
       }
   }
 
@@ -367,10 +277,11 @@ ScaleLmoReport estimate_scale_lmo(Experimenter& ex, MeasurementStore& store,
     PlanBuilder stage1(opts.topology);
     plan_scale_roundtrips(stage1, triplets, opts);
     rt_unique = stage1.unique();
-    (void)execute_plan(stage1.build(opts.parallel), ex, store, shard);
+    const ExperimentPlan plan = stage1.build(opts.parallel);
+    (void)execute_plan(plan, ex, store, shard);
+    if (shard.active() && !plan_complete(plan, store))
+      return partial(rt_unique, 0);
   }
-  if (shard.active() && !have_roundtrips(store, triplets, opts.probe_size))
-    return partial(rt_unique, 0);
 
   std::size_t o2_unique = 0;
   {
@@ -378,10 +289,11 @@ ScaleLmoReport estimate_scale_lmo(Experimenter& ex, MeasurementStore& store,
     PlanBuilder stage2(opts.topology);
     plan_scale_one_to_two(stage2, store, triplets, opts);
     o2_unique = stage2.unique();
-    (void)execute_plan(stage2.build(opts.parallel), ex, store, shard);
+    const ExperimentPlan plan = stage2.build(opts.parallel);
+    (void)execute_plan(plan, ex, store, shard);
+    if (shard.active() && !plan_complete(plan, store))
+      return partial(rt_unique, o2_unique);
   }
-  if (shard.active() && !have_one_to_two(store, triplets, opts.probe_size))
-    return partial(rt_unique, o2_unique);
 
   ScaleLmoReport report = fit_scale_lmo(store, n, opts);
   report.roundtrip_experiments = rt_unique;

@@ -6,8 +6,8 @@
 // parameters are not n^2 free values though: nodes fall into a handful of
 // profiles (identical C_i/t_i) and links into depth() level classes
 // (identical L/1-over-beta per LCA level). This estimator samples a few
-// triplets per resource-tree level, solves the same per-triplet systems
-// (eqs. 8/11) as the exact fit, and aggregates:
+// triplets per resource-tree level, solves each with the exact fit's
+// solve_triplet (eqs. 8/11, lmo_estimator.hpp), and aggregates:
 //  * C_i/t_i per sampled rank, broadcast to unsampled ranks by profile
 //    mean (when the cluster's profile table is known) or global mean,
 //  * L/1-over-beta per level (the LevelLink form priced_by_path expands).

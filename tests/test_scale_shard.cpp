@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -317,6 +318,107 @@ TEST(ScaleEstimator, ShardedScaleCampaignBitIdentical) {
     EXPECT_EQ(sharded.per_level[lv].L, ref.per_level[lv].L);
     EXPECT_EQ(sharded.per_level[lv].inv_beta, ref.per_level[lv].inv_beta);
   }
+}
+
+// ------------------------------------------- one triplet solver, two fits ----
+
+/// A copy of `s` in which `key` reads `value` (insert is first-write-wins,
+/// so the override goes in first).
+MeasurementStore with_value(const MeasurementStore& s, const ExperimentKey& key,
+                            double value) {
+  MeasurementStore out;
+  out.set_cluster(s.cluster_size(), s.cluster_seed());
+  out.insert(key, value);
+  const obs::Json j = s.to_json();
+  for (const obs::Json& e : j.at("entries").items())
+    out.insert(ExperimentKey::from_json(e), e.at("value").as_double());
+  return out;
+}
+
+/// The error message `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TripletSolver, ExactAndSampledFitsAgreeOnTheirOnlyTriplet) {
+  // Three flat ranks: the sample is the single triplet the exact fit
+  // averages over, so both fits run one solve_triplet on the same data.
+  const auto cfg = sim::make_random_cluster(3, 11);
+  vmpi::World world(cfg);
+  SimExperimenter ex(world);
+  MeasurementStore store;
+  store.set_cluster(cfg.size(), cfg.seed);
+  const LmoReport exact = estimate_lmo(ex, store);
+  const ScaleLmoReport sampled = fit_scale_lmo(store, cfg.size());
+  ASSERT_EQ(sampled.sampled_ranks, (std::vector<int>{0, 1, 2}));
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(sampled.C[r], exact.params.C[r]) << "rank " << r;
+    EXPECT_EQ(sampled.t[r], exact.params.t[r]) << "rank " << r;
+  }
+}
+
+TEST(TripletSolver, SampledFitRejectsNonFiniteRoundtripNamingThePair) {
+  const auto cfg = sim::make_multicore_cluster(2, 2, 2, 1);
+  ScaleOptions sopts;
+  sopts.topology = &cfg.topology;
+  MeasurementStore store;
+  store.set_cluster(cfg.size(), cfg.seed);
+  {
+    vmpi::World world(cfg);
+    SimExperimenter ex(world);
+    (void)estimate_scale_lmo(ex, store, sopts);
+  }
+  const Triplet t = sample_scale_triplets(&cfg.topology, cfg.size(), 4)[0];
+  const int u = std::min(t[0], t[2]), v = std::max(t[0], t[2]);
+  const ExperimentKey rt =
+      ExperimentKey::roundtrip(u, v, sopts.probe_size, sopts.probe_size);
+  ASSERT_TRUE(store.contains(rt));
+  const MeasurementStore bad = with_value(store, rt, std::nan(""));
+  const std::string msg =
+      error_of([&] { (void)fit_scale_lmo(bad, cfg.size(), sopts); });
+  EXPECT_NE(msg.find("non-finite round-trip for pair " + std::to_string(u) +
+                     "," + std::to_string(v)),
+            std::string::npos)
+      << msg;
+}
+
+TEST(TripletSolver, BothFitsRejectNonFiniteOneToTwoNamingTheExperiment) {
+  const auto cfg = sim::make_random_cluster(4, 5);
+  vmpi::World world(cfg);
+  SimExperimenter ex(world);
+  MeasurementStore store;
+  store.set_cluster(cfg.size(), cfg.seed);
+  (void)estimate_lmo(ex, store);
+  const Triplet t{0, 1, 2};
+  const Bytes m = LmoOptions{}.probe_size;
+  const ExperimentKey key =
+      triplet_one_to_two_keys(t, read_triplet_roundtrips(store, t, m), m)[3];
+  const MeasurementStore bad = with_value(store, key, HUGE_VAL);
+  for (const std::string& msg :
+       {error_of([&] { (void)fit_lmo(bad, cfg.size()); }),
+        error_of([&] { (void)fit_scale_lmo(bad, cfg.size()); })})
+    EXPECT_NE(msg.find(key.describe()), std::string::npos) << msg;
+}
+
+TEST(TripletSolver, PlanCompleteTracksTheStore) {
+  const auto cfg = sim::make_random_cluster(4, 3);
+  vmpi::World world(cfg);
+  SimExperimenter ex(world);
+  MeasurementStore store;
+  PlanBuilder stage1;
+  plan_lmo_roundtrips(stage1, cfg.size());
+  const ExperimentPlan plan = stage1.build();
+  EXPECT_FALSE(plan_complete(plan, store));
+  (void)execute_plan(plan, ex, store, {0, 2});
+  EXPECT_FALSE(plan_complete(plan, store));  // one shard's slice only
+  (void)execute_plan(plan, ex, store);
+  EXPECT_TRUE(plan_complete(plan, store));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "coll/zoo.hpp"
 #include "core/predictions.hpp"
@@ -178,6 +181,54 @@ TEST(ZooParity, BinomialReduceHonorsMappingLikeItsPredictor) {
               sim_default * 0.02);
   EXPECT_NEAR(core::binomial_reduce_time(p, 0, m, mapping), sim_mapped,
               sim_mapped * 0.02);
+}
+
+TEST(ZooParity, BinomialCollectivesAreBinomialTrees) {
+  // coll::binomial_* must complete exactly when tree_*(kBinomial) does,
+  // for every root, with the default and with a permuted mapping. A fresh
+  // World per run replays the same noise and escalation draws.
+  using Body = std::function<Task(Comm&)>;
+  const auto finish = [](const sim::ClusterConfig& cfg, Body body) {
+    World w(cfg);
+    return w.run(spmd(cfg.size(), std::move(body))).seconds();
+  };
+  const Bytes m = 12 * 1024;
+  // n = 1 is out of reach: a simulated cluster needs two nodes.
+  for (const int n : {2, 3, 5, 8, 13, 16}) {
+    const auto cfg = sim::make_random_cluster(n, 300 + std::uint64_t(n));
+    for (int root = 0; root < n; ++root) {
+      // The root stays at virtual 0; the other ranks in reverse order.
+      std::vector<int> permuted{root};
+      for (int r = n - 1; r >= 0; --r)
+        if (r != root) permuted.push_back(r);
+      for (const std::vector<int>& map : {std::vector<int>{}, permuted}) {
+        const std::string what = "n=" + std::to_string(n) +
+                                 " root=" + std::to_string(root) +
+                                 (map.empty() ? " default" : " permuted");
+        const auto pair = [&](Body binomial, Body tree) {
+          return std::pair{finish(cfg, std::move(binomial)),
+                           finish(cfg, std::move(tree))};
+        };
+        const TreeKind k = TreeKind::kBinomial;
+        auto [s1, s2] = pair(
+            [=](Comm& c) { return coll::binomial_scatter(c, root, m, map); },
+            [=](Comm& c) { return coll::tree_scatter(c, k, root, m, map); });
+        EXPECT_EQ(s1, s2) << "scatter " << what;
+        auto [g1, g2] = pair(
+            [=](Comm& c) { return coll::binomial_gather(c, root, m, map); },
+            [=](Comm& c) { return coll::tree_gather(c, k, root, m, map); });
+        EXPECT_EQ(g1, g2) << "gather " << what;
+        auto [b1, b2] = pair(
+            [=](Comm& c) { return coll::binomial_bcast(c, root, m, map); },
+            [=](Comm& c) { return coll::tree_bcast(c, k, root, m, map); });
+        EXPECT_EQ(b1, b2) << "bcast " << what;
+        auto [r1, r2] = pair(
+            [=](Comm& c) { return coll::binomial_reduce(c, root, m, map); },
+            [=](Comm& c) { return coll::tree_reduce(c, k, root, m, map); });
+        EXPECT_EQ(r1, r2) << "reduce " << what;
+      }
+    }
+  }
 }
 
 TEST(InverseMapping, ValidatesPermutations) {
