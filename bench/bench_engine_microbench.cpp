@@ -1,6 +1,7 @@
 // Engine microbenchmarks (google-benchmark): raw event throughput of the
 // discrete-event core, point-to-point round throughput of the vmpi layer,
-// collective simulation rates, and end-to-end estimation costs.
+// collective simulation rates, experiment planning, and end-to-end
+// estimation costs.
 //
 // The binary also counts global operator new calls (g_alloc_count below) and
 // reports them as per-item counters: `allocs_per_event` on BM_EngineEvents
@@ -19,9 +20,13 @@
 #include "coll/collectives.hpp"
 #include "estimate/experimenter.hpp"
 #include "estimate/hockney_estimator.hpp"
+#include "estimate/lmo_estimator.hpp"
+#include "estimate/measurement_store.hpp"
+#include "estimate/plan.hpp"
 #include "obs/flight_recorder.hpp"
 #include "simnet/cluster.hpp"
 #include "simnet/engine.hpp"
+#include "util/rng.hpp"
 #include "vmpi/world.hpp"
 
 namespace {
@@ -178,6 +183,40 @@ void BM_HockneyEstimation(benchmark::State& state) {
 }
 BENCHMARK(BM_HockneyEstimation)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+// The exact LMO stage-2 plan (every oriented one-to-two triplet, two probe
+// sizes): require() plus build(), on the flat 48-node cluster (arg 0) and
+// the contended 2x3x4 multicore tree (arg 1). Stage 1 is not measured:
+// its round-trip keys get synthetic values, which fix the orientations.
+void BM_PlanBuild(benchmark::State& state) {
+  const sim::ClusterConfig cfg = state.range(0) == 0
+                                     ? sim::make_random_cluster(48, 7)
+                                     : sim::make_multicore_cluster(2, 3, 4);
+  const int n = cfg.size();
+  estimate::LmoOptions opts;
+  opts.topology = cfg.topology.empty() ? nullptr : &cfg.topology;
+  estimate::MeasurementStore stage1;
+  {
+    estimate::PlanBuilder builder(opts.topology);
+    estimate::plan_lmo_roundtrips(builder, n, opts);
+    Rng rng(7);
+    for (const auto& round : builder.build(true).rounds)
+      for (const auto& key : round.keys)
+        stage1.insert(key, rng.uniform(1e-4, 2e-4));
+  }
+  std::size_t keys = 0, rounds = 0;
+  for (auto _ : state) {
+    estimate::PlanBuilder builder(opts.topology);
+    estimate::plan_lmo_one_to_two(builder, stage1, n, opts);
+    const estimate::ExperimentPlan plan = builder.build(true);
+    keys = plan.experiments();
+    rounds = plan.rounds.size();
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(keys));
+  state.counters["keys"] = double(keys);
+  state.counters["rounds"] = double(rounds);
+}
+BENCHMARK(BM_PlanBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

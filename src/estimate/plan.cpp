@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
+#include <string>
 #include <tuple>
 
 #include "estimate/experimenter.hpp"
@@ -173,16 +175,34 @@ ExperimentKey ExperimentKey::from_json(const obs::Json& j) {
   return k;
 }
 
-std::vector<int> ExperimentKey::participants() const {
-  switch (kind) {
+namespace {
+/// How many of {a, b, c} the experiment occupies: participants() without
+/// the allocation.
+std::size_t participant_count(const ExperimentKey& k) {
+  switch (k.kind) {
     case ExperimentKind::kOneToTwo:
-      return {a, b, c};
+      return 3;
     case ExperimentKind::kScatterObservation:
     case ExperimentKind::kGatherObservation:
-      return {a};  // occupies the whole cluster in truth; packed alone
+      return 1;  // occupies the whole cluster in truth; packed alone
     default:
-      return {a, b};
+      return 2;
   }
+}
+
+/// Invoke f(i, j) for each point-to-point path the experiment occupies in
+/// the resource tree.
+template <class F>
+void for_each_path(const ExperimentKey& k, F&& f) {
+  if (k.b < 0) return;  // observation kinds are packed alone anyway
+  f(k.a, k.b);
+  if (k.kind == ExperimentKind::kOneToTwo) f(k.a, k.c);
+}
+}  // namespace
+
+std::vector<int> ExperimentKey::participants() const {
+  const int p[] = {a, b, c};
+  return {p, p + participant_count(*this)};
 }
 
 std::size_t ExperimentPlan::experiments() const {
@@ -191,59 +211,57 @@ std::size_t ExperimentPlan::experiments() const {
   return n;
 }
 
-namespace {
-/// The point-to-point paths an experiment occupies in the resource tree.
-std::vector<std::pair<int, int>> key_paths(const ExperimentKey& k) {
-  if (k.kind == ExperimentKind::kOneToTwo) return {{k.a, k.b}, {k.a, k.c}};
-  if (k.b < 0) return {};  // observation kinds are packed alone anyway
-  return {{k.a, k.b}};
-}
-
-/// True if the two experiments cannot share a measured round on `topo`:
-/// a common participant, or paths through a common contended switch.
-bool keys_conflict(const sim::Topology& topo, const ExperimentKey& x,
-                   const ExperimentKey& y) {
-  for (const int px : x.participants())
-    for (const int py : y.participants())
-      if (px == py) return true;
-  for (const auto& [xa, xb] : key_paths(x))
-    for (const auto& [ya, yb] : key_paths(y))
-      if (topo.paths_conflict(xa, xb, ya, yb)) return true;
-  return false;
-}
-}  // namespace
-
 PlanBuilder::PlanBuilder() = default;
 
 PlanBuilder::PlanBuilder(const sim::Topology* topo) : topo_(topo) {}
 
 void PlanBuilder::require(const ExperimentKey& key) {
-  ++requests_;
+  const int p[] = {key.a, key.b, key.c};
+  for (std::size_t i = 0; i < participant_count(key); ++i)
+    if (p[i] < 0)
+      throw Error(key.describe() + ": negative rank id " +
+                  std::to_string(p[i]));
   ExperimentKey k = key;
   if (topo_ != nullptr && !topo_->empty()) {
     int lvl = 0;
-    for (const auto& [a, b] : key_paths(k))
-      lvl = std::max(lvl, topo_->lca_level(a, b));
+    for_each_path(
+        k, [&](int a, int b) { lvl = std::max(lvl, topo_->lca_level(a, b)); });
     k.level = lvl;
   }
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), k);
-  if (it != keys_.end() && *it == k) return;
-  keys_.insert(it, k);
+  ++requests_;
+  keys_.push_back(k);
+  sorted_ = false;
+}
+
+const std::vector<ExperimentKey>& PlanBuilder::sorted_keys() const {
+  if (sorted_) return keys_;
+  // Equal keys carry equal level stamps (a function of the participants),
+  // so which duplicate survives is immaterial.
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  sorted_ = true;
+  return keys_;
 }
 
 ExperimentPlan PlanBuilder::build(bool parallel) const {
+  const obs::Span sp = obs::span("plan.build");
+  const std::vector<ExperimentKey>& unique_keys = sorted_keys();
   // Group by (kind, sizes, count): experiments in one measured round must
   // be homogeneous because the round's CI stopping rule repeats them
   // together. Groups come out in deterministic (kind, m, reply, count)
   // order regardless of request order.
   using GroupKey = std::tuple<ExperimentKind, Bytes, Bytes, int>;
   std::map<GroupKey, std::vector<ExperimentKey>> groups;
-  for (const ExperimentKey& k : keys_)
+  for (const ExperimentKey& k : unique_keys)
     groups[{k.kind, k.m_fwd, k.m_back, k.count}].push_back(k);
 
+  // A contention-free tree packs exactly like the flat cluster: on
+  // processors alone.
+  const bool contended = topo_ != nullptr && topo_->constrains_concurrency();
   ExperimentPlan plan;
   plan.requested = requests_;
-  plan.deduplicated = requests_ - keys_.size();
+  plan.deduplicated = requests_ - unique_keys.size();
+  std::vector<FirstFitPacker::Segment> segments;
   for (const auto& [gk, keys] : groups) {
     const auto [kind, m_fwd, m_back, count] = gk;
     auto add_round = [&](std::vector<ExperimentKey> round_keys) {
@@ -261,59 +279,31 @@ ExperimentPlan PlanBuilder::build(bool parallel) const {
       // Observations sample the anchor session's live noise stream one at
       // a time; serial mode is the Section-IV baseline.
       for (const ExperimentKey& k : keys) add_round({k});
-    } else if (topo_ != nullptr && topo_->constrains_concurrency()) {
-      // Contended resource tree: node-disjointness is no longer enough —
-      // two pairs hanging off the same memory bus or uplink would perturb
-      // each other. Greedy first-fit over the deterministic key order,
-      // admitting an experiment to a round only when it conflicts with
-      // none of the round's members. Contention-free topologies skip this
-      // branch and pack exactly like the flat cluster.
-      std::vector<std::vector<ExperimentKey>> fitted;
-      for (const ExperimentKey& k : keys) {
-        bool placed = false;
-        for (auto& round : fitted) {
-          bool ok = true;
-          for (const ExperimentKey& other : round)
-            if (keys_conflict(*topo_, k, other)) {
-              ok = false;
-              break;
-            }
-          if (ok) {
-            round.push_back(k);
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) fitted.push_back({k});
-      }
-      for (auto& round : fitted) add_round(std::move(round));
-    } else if (kind == ExperimentKind::kOneToTwo) {
-      std::map<Triplet, ExperimentKey> by_triplet;
-      std::vector<Triplet> triplets;
-      for (const ExperimentKey& k : keys) {
-        const Triplet t{k.a, k.b, k.c};
-        triplets.push_back(t);
-        by_triplet.emplace(t, k);
-      }
-      for (const auto& round : triplet_rounds(triplets)) {
-        std::vector<ExperimentKey> round_keys;
-        for (const Triplet& t : round) round_keys.push_back(by_triplet.at(t));
-        add_round(std::move(round_keys));
-      }
-    } else {
-      std::map<Pair, ExperimentKey> by_pair;
-      std::vector<Pair> pairs;
-      for (const ExperimentKey& k : keys) {
-        const Pair p{k.a, k.b};
-        pairs.push_back(p);
-        by_pair.emplace(p, k);
-      }
-      for (const auto& round : pack_pairs(pairs)) {
-        std::vector<ExperimentKey> round_keys;
-        for (const Pair& p : round) round_keys.push_back(by_pair.at(p));
-        add_round(std::move(round_keys));
-      }
+      continue;
     }
+    // Greedy first-fit over the deterministic key order. An experiment's
+    // resources are its processors plus, on a contended tree, every
+    // contended switch its paths cross — two pairs hanging off the same
+    // memory bus or uplink would perturb each other even when their
+    // processors are disjoint.
+    FirstFitPacker packer;
+    std::vector<std::vector<ExperimentKey>> fitted;
+    for (const ExperimentKey& k : keys) {
+      const int ranks[] = {k.a, k.b, k.c};
+      segments.clear();
+      if (contended)
+        for_each_path(k, [&](int i, int j) {
+          topo_->for_each_contended_segment(i, j, [&](int l, int g) {
+            segments.push_back({l, g});
+          });
+        });
+      const std::size_t r =
+          packer.place(std::span(ranks, participant_count(k)), segments,
+                       [&] { return k.describe(); });
+      if (r == fitted.size()) fitted.emplace_back();
+      fitted[r].push_back(k);
+    }
+    for (auto& round : fitted) add_round(std::move(round));
   }
 
   obs::Registry& reg = obs::Registry::global();

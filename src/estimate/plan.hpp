@@ -121,6 +121,8 @@ struct ExperimentPlan {
 /// Collects experiment requirements from any number of estimators,
 /// deduplicates them, and packs them into disjoint rounds. Deterministic:
 /// the plan depends only on the set of keys, never on request order.
+/// Not safe for concurrent calls, including the const ones (they
+/// deduplicate pending requests in place).
 class PlanBuilder {
  public:
   PlanBuilder();
@@ -133,22 +135,30 @@ class PlanBuilder {
   /// builder.
   explicit PlanBuilder(const sim::Topology* topo);
 
-  /// Record one requirement; duplicate keys collapse.
+  /// Record one requirement; duplicate keys collapse. Throws lmo::Error
+  /// naming the key's describe() if a participant has a negative rank id.
   void require(const ExperimentKey& key);
 
   [[nodiscard]] std::size_t requests() const { return requests_; }
-  [[nodiscard]] std::size_t unique() const { return keys_.size(); }
+  [[nodiscard]] std::size_t unique() const { return sorted_keys().size(); }
 
-  /// Pack into rounds. `parallel` batches node-disjoint experiments of the
-  /// same kind and sizes together (first-fit over the key order); false
-  /// yields one experiment per round (the Section-IV serial baseline).
-  /// Observation kinds always run one at a time (they sample the anchor
-  /// session's live noise stream). With a contended topology, experiments
-  /// sharing a contended switch never share a round.
+  /// Pack into rounds. `parallel` batches experiments of the same kind and
+  /// sizes together (first-fit over the key order, one FirstFitPacker per
+  /// group); false yields one experiment per round (the Section-IV serial
+  /// baseline). Observation kinds always run one at a time (they sample
+  /// the anchor session's live noise stream). Experiments sharing a
+  /// processor never share a round; with a contended topology, neither do
+  /// experiments whose paths share a contended switch.
   [[nodiscard]] ExperimentPlan build(bool parallel = true) const;
 
  private:
-  std::vector<ExperimentKey> keys_;  ///< sorted unique (std::set semantics)
+  /// keys_ sorted and deduplicated in place (std::set semantics).
+  const std::vector<ExperimentKey>& sorted_keys() const;
+
+  /// Every request, appended; sorted_keys() sorts and deduplicates them
+  /// on demand, so require() is O(1) instead of an O(K) sorted insert.
+  mutable std::vector<ExperimentKey> keys_;
+  mutable bool sorted_ = true;
   std::size_t requests_ = 0;
   const sim::Topology* topo_ = nullptr;
 };

@@ -1,6 +1,8 @@
 #include "estimate/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -53,61 +55,67 @@ std::vector<std::vector<Pair>> pair_rounds(int n) {
   return rounds;
 }
 
-std::vector<std::vector<Pair>> pack_pairs(const std::vector<Pair>& pairs) {
-  std::vector<std::vector<Pair>> rounds;
-  std::vector<std::vector<bool>> used;  // per round: node occupancy
-  for (const Pair& p : pairs) {
-    LMO_CHECK(p.first >= 0 && p.second >= 0 && p.first != p.second);
-    const std::size_t need =
-        std::size_t(std::max(p.first, p.second)) + 1;
-    bool placed = false;
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      auto& occ = used[r];
-      if (occ.size() < need) occ.resize(need, false);
-      if (occ[std::size_t(p.first)] || occ[std::size_t(p.second)]) continue;
-      occ[std::size_t(p.first)] = occ[std::size_t(p.second)] = true;
-      rounds[r].push_back(p);
-      placed = true;
+std::uint32_t FirstFitPacker::slot(std::uint64_t resource) {
+  const auto [it, fresh] =
+      index_.try_emplace(resource, std::uint32_t(busy_.size()));
+  if (fresh) busy_.emplace_back();
+  return it->second;
+}
+
+std::size_t FirstFitPacker::place_item() {
+  // The first round none of the item's resources occupies. Bits at or past
+  // rounds_ are never set, so the search stops at rounds_ at the latest:
+  // a fresh round.
+  std::size_t round = rounds_;
+  const std::size_t words = (rounds_ + 63) / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t occupied = 0;
+    for (const std::uint32_t s : item_) {
+      const std::vector<std::uint64_t>& bits = busy_[s];
+      if (w < bits.size()) occupied |= bits[w];
+    }
+    if (occupied != ~std::uint64_t{0}) {
+      round = w * 64 + std::size_t(std::countr_one(occupied));
       break;
     }
-    if (!placed) {
-      rounds.push_back({p});
-      std::vector<bool> occ(need, false);
-      occ[std::size_t(p.first)] = occ[std::size_t(p.second)] = true;
-      used.push_back(std::move(occ));
-    }
+  }
+  if (round == rounds_) ++rounds_;
+  const std::size_t w = round / 64;
+  for (const std::uint32_t s : item_) {
+    std::vector<std::uint64_t>& bits = busy_[s];
+    if (bits.size() <= w) bits.resize(w + 1, 0);
+    bits[w] |= std::uint64_t{1} << (round % 64);
+  }
+  return round;
+}
+
+std::vector<std::vector<Pair>> pack_pairs(const std::vector<Pair>& pairs) {
+  FirstFitPacker packer;
+  std::vector<std::vector<Pair>> rounds;
+  for (const Pair& p : pairs) {
+    LMO_CHECK(p.first != p.second);
+    const int ranks[] = {p.first, p.second};
+    const std::size_t r = packer.place(ranks, {}, [&] {
+      return "pair (" + std::to_string(p.first) + "," +
+             std::to_string(p.second) + ")";
+    });
+    if (r == rounds.size()) rounds.emplace_back();
+    rounds[r].push_back(p);
   }
   return rounds;
 }
 
 std::vector<std::vector<Triplet>> triplet_rounds(
     const std::vector<Triplet>& triplets) {
+  FirstFitPacker packer;
   std::vector<std::vector<Triplet>> rounds;
-  std::vector<std::vector<bool>> used;  // per round: node occupancy
   for (const Triplet& t : triplets) {
-    bool placed = false;
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      auto& occ = used[r];
-      const std::size_t need =
-          std::size_t(std::max({t[0], t[1], t[2]})) + 1;
-      if (occ.size() < need) occ.resize(need, false);
-      if (occ[std::size_t(t[0])] || occ[std::size_t(t[1])] ||
-          occ[std::size_t(t[2])])
-        continue;
-      occ[std::size_t(t[0])] = occ[std::size_t(t[1])] =
-          occ[std::size_t(t[2])] = true;
-      rounds[r].push_back(t);
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      rounds.push_back({t});
-      std::vector<bool> occ(std::size_t(std::max({t[0], t[1], t[2]})) + 1,
-                            false);
-      occ[std::size_t(t[0])] = occ[std::size_t(t[1])] =
-          occ[std::size_t(t[2])] = true;
-      used.push_back(std::move(occ));
-    }
+    const std::size_t r = packer.place(t, {}, [&] {
+      return "triplet (" + std::to_string(t[0]) + "," +
+             std::to_string(t[1]) + "," + std::to_string(t[2]) + ")";
+    });
+    if (r == rounds.size()) rounds.emplace_back();
+    rounds[r].push_back(t);
   }
   return rounds;
 }

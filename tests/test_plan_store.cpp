@@ -1,6 +1,7 @@
 // The declarative plan / shared MeasurementStore layer:
 //  * ExperimentKey canonicalization and JSON round-trips,
 //  * PlanBuilder deduplication, ordering-independence and disjoint rounds,
+//    and its bitset packer checked against a pairwise first-fit oracle,
 //  * MeasurementStore semantics (first-write-wins, hit/miss accounting)
 //    and bit-exact persistence,
 //  * the cross-estimator reuse guarantee: all five models through one
@@ -13,13 +14,18 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "estimate/suite.hpp"
+#include "obs/trace.hpp"
 #include "simnet/cluster.hpp"
+#include "simnet/topology.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "vmpi/world.hpp"
 
 namespace lmo::estimate {
@@ -134,6 +140,298 @@ TEST(PlanBuilderTest, SerialBuildYieldsSingletonRounds) {
   EXPECT_EQ(built.rounds.size(), plan.unique());
   for (const PlannedRound& round : built.rounds)
     EXPECT_EQ(round.keys.size(), 1u);
+}
+
+TEST(PlanBuilderTest, RejectsNegativeRankIdsNamingTheKey) {
+  // one_to_two() does not range-check, and a stored key lacking "c" (or
+  // "b") parses to -1: the builder must refuse it instead of indexing a
+  // packer with it.
+  for (const ExperimentKey& k :
+       {ExperimentKey::one_to_two({0, -1, 2}, 0, 0),
+        ExperimentKey::from_json(obs::Json::parse(
+            R"({"kind": "one_to_two", "a": 0, "b": 1, "m": 0, "reply": 0})")),
+        ExperimentKey::from_json(obs::Json::parse(
+            R"({"kind": "roundtrip", "a": 0, "m": 0, "reply": 0})"))}) {
+    PlanBuilder plan;
+    try {
+      plan.require(k);
+      ADD_FAILURE() << "accepted " << k.describe();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(k.describe()), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(plan.requests(), 0u);
+    EXPECT_EQ(plan.unique(), 0u);
+  }
+  // Observation kinds occupy only their root; b = -1 is their norm.
+  PlanBuilder plan;
+  plan.require(ExperimentKey::gather_observation(2, 1024, 0));
+  EXPECT_EQ(plan.build(true).experiments(), 1u);
+}
+
+TEST(PlanBuilderTest, BuildOpensAPlanBuildSpan) {
+  PlanBuilder plan;
+  plan_hockney(plan, 4, {});
+  obs::set_global_trace_enabled(true);
+  obs::global_sink()->clear();
+  (void)plan.build(true);
+  const std::string trace = obs::global_sink()->json();
+  obs::global_sink()->clear();
+  obs::set_global_trace_enabled(false);
+  EXPECT_NE(trace.find("\"plan.build\""), std::string::npos);
+}
+
+// ------------------------------------------ packing vs pairwise oracle --
+
+/// The planner before round bitsets, kept as a brute-force oracle: the
+/// sorted unique keys of each (kind, sizes, count) group go first-fit to
+/// the first round none of whose members shares a participant or (on a
+/// contended tree) a contended switch with them.
+ExperimentPlan pairwise_first_fit(std::vector<ExperimentKey> keys,
+                                  const sim::Topology* topo, bool parallel) {
+  const auto paths = [](const ExperimentKey& k) {
+    std::vector<Pair> p;
+    if (k.b >= 0) p.emplace_back(k.a, k.b);
+    if (k.kind == ExperimentKind::kOneToTwo) p.emplace_back(k.a, k.c);
+    return p;
+  };
+  const bool contended = topo != nullptr && topo->constrains_concurrency();
+  const auto conflict = [&](const ExperimentKey& x, const ExperimentKey& y) {
+    for (const int px : x.participants())
+      for (const int py : y.participants())
+        if (px == py) return true;
+    if (!contended) return false;
+    for (const auto& [xa, xb] : paths(x))
+      for (const auto& [ya, yb] : paths(y))
+        if (topo->paths_conflict(xa, xb, ya, yb)) return true;
+    return false;
+  };
+  for (ExperimentKey& k : keys) {
+    k.level = 0;
+    if (topo != nullptr && !topo->empty())
+      for (const auto& [a, b] : paths(k))
+        k.level = std::max(k.level, topo->lca_level(a, b));
+  }
+  std::sort(keys.begin(), keys.end());
+  const std::size_t requested = keys.size();
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  ExperimentPlan plan;
+  plan.requested = requested;
+  plan.deduplicated = requested - keys.size();
+  std::map<std::tuple<ExperimentKind, Bytes, Bytes, int>,
+           std::vector<ExperimentKey>>
+      groups;
+  for (const ExperimentKey& k : keys)
+    groups[{k.kind, k.m_fwd, k.m_back, k.count}].push_back(k);
+  for (const auto& [gk, members] : groups) {
+    const bool observation =
+        std::get<0>(gk) == ExperimentKind::kScatterObservation ||
+        std::get<0>(gk) == ExperimentKind::kGatherObservation;
+    std::vector<std::vector<ExperimentKey>> rounds;
+    for (const ExperimentKey& k : members) {
+      std::vector<ExperimentKey>* home = nullptr;
+      if (parallel && !observation)
+        for (auto& round : rounds)
+          if (std::none_of(round.begin(), round.end(),
+                           [&](const ExperimentKey& o) {
+                             return conflict(k, o);
+                           })) {
+            home = &round;
+            break;
+          }
+      if (home == nullptr) home = &rounds.emplace_back();
+      home->push_back(k);
+    }
+    for (auto& keys_of_round : rounds) {
+      PlannedRound r;
+      std::tie(r.kind, r.m_fwd, r.m_back, r.count) = gk;
+      r.keys = std::move(keys_of_round);
+      plan.rounds.push_back(std::move(r));
+    }
+  }
+  return plan;
+}
+
+/// Whole-plan equality: round headers, key order, and the level stamps
+/// that ExperimentKey's operator== ignores.
+void expect_same_plan(const ExperimentPlan& got, const ExperimentPlan& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.requested, want.requested) << what;
+  EXPECT_EQ(got.deduplicated, want.deduplicated) << what;
+  ASSERT_EQ(got.rounds.size(), want.rounds.size()) << what;
+  for (std::size_t r = 0; r < got.rounds.size(); ++r) {
+    const PlannedRound& g = got.rounds[r];
+    const PlannedRound& w = want.rounds[r];
+    ASSERT_EQ(std::tie(g.kind, g.m_fwd, g.m_back, g.count),
+              std::tie(w.kind, w.m_fwd, w.m_back, w.count))
+        << what << " round " << r;
+    ASSERT_EQ(g.keys, w.keys) << what << " round " << r;
+    for (std::size_t e = 0; e < g.keys.size(); ++e)
+      ASSERT_EQ(g.keys[e].level, w.keys[e].level)
+          << what << " round " << r << ": " << g.keys[e].describe();
+  }
+}
+
+template <class T>
+void shuffle(std::vector<T>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = std::size_t(rng.uniform_int(0, std::int64_t(i - 1)));
+    std::swap(v[i - 1], v[j]);
+  }
+}
+
+/// A random requirement list over ranks 0..n-1: every packable kind, each
+/// key kept with probability `keep` (cache holes), some requested twice,
+/// in shuffled order.
+std::vector<ExperimentKey> random_requests(int n, double keep, Rng& rng) {
+  std::vector<ExperimentKey> all;
+  for (const auto& [i, j] : all_pairs(n)) {
+    all.push_back(ExperimentKey::roundtrip(i, j, 0, 0));
+    all.push_back(ExperimentKey::roundtrip(j, i, 4096, 0));
+    all.push_back(ExperimentKey::send_overhead(j, i, 256));
+    all.push_back(ExperimentKey::saturation_gap(i, j, 1024, 8));
+  }
+  if (n >= 3)
+    for (const Triplet& t : all_oriented_triplets(n)) {
+      all.push_back(ExperimentKey::one_to_two(t, 0, 0));
+      all.push_back(ExperimentKey::one_to_two(t, 32768, 0));
+    }
+  for (int root = 0; root < n; ++root)
+    all.push_back(ExperimentKey::gather_observation(root, 8192, root % 3));
+  std::vector<ExperimentKey> out;
+  for (const ExperimentKey& k : all) {
+    if (!rng.chance(keep)) continue;
+    out.push_back(k);
+    if (rng.chance(0.1)) out.push_back(k);
+  }
+  shuffle(out, rng);
+  return out;
+}
+
+/// An irregular tree over n ranks: a random number of levels, sparse
+/// group ids, monotone coarsening, each level contended at random.
+sim::Topology random_contended_tree(int n, Rng& rng) {
+  const int depth = int(rng.uniform_int(1, 4));
+  std::vector<sim::TopologyLevel> levels;
+  std::vector<std::vector<int>> group_of;
+  std::vector<int> below;  // rank -> level-(l-1) group; ranks at l = 1
+  for (int r = 0; r < n; ++r) below.push_back(r);
+  for (int l = 1; l <= depth; ++l) {
+    sim::TopologyLevel lv;
+    lv.name = "l" + std::to_string(l);
+    lv.forward_latency_s = 1e-6;
+    lv.contended = rng.chance(0.5);
+    levels.push_back(lv);
+    std::vector<int> row(std::size_t(n), 0);
+    if (l < depth) {
+      std::vector<int> parent(std::size_t(n), -1);
+      for (int r = 0; r < n; ++r) {
+        int& p = parent[std::size_t(below[std::size_t(r)])];
+        if (p < 0) p = int(rng.uniform_int(0, n / 2));
+        row[std::size_t(r)] = p;
+      }
+    }
+    below = row;
+    group_of.push_back(std::move(row));
+  }
+  return sim::Topology::custom(std::move(levels), std::move(group_of));
+}
+
+TEST(PlanBuilderTest, PackingMatchesPairwiseFirstFit) {
+  Rng rng(20261018);
+  struct Case {
+    std::string name;
+    sim::Topology topo;  // empty: flat cluster
+    int n = 0;
+  };
+  std::vector<Case> cases;
+  for (const int n : {2, 3, 8, 13, 16, 24})
+    cases.push_back({"flat n=" + std::to_string(n), {}, n});
+  cases.push_back(
+      {"single switch", sim::Topology::single_switch(11, 1e-6), 11});
+  for (const auto placement : {sim::Placement::kBlock, sim::Placement::kCyclic})
+    for (const auto& [s, m, c] : {std::tuple{2, 3, 4}, std::tuple{2, 2, 4},
+                                  std::tuple{1, 3, 4}}) {
+      const std::string name =
+          "multicore " + std::to_string(s) + "x" + std::to_string(m) + "x" +
+          std::to_string(c) +
+          (placement == sim::Placement::kBlock ? " block" : " cyclic");
+      cases.push_back(
+          {name, sim::make_multicore_cluster(s, m, c, 1, placement).topology,
+           s * m * c});
+    }
+  for (int t = 0; t < 6; ++t) {
+    const int n = int(rng.uniform_int(3, 20));
+    cases.push_back({"custom #" + std::to_string(t),
+                     random_contended_tree(n, rng), n});
+  }
+  for (const Case& c : cases) {
+    const sim::Topology* topo = c.topo.empty() ? nullptr : &c.topo;
+    const int n = c.n;
+    // Dense enough to pack, sparse enough that the quadratic oracle stays
+    // quick at n = 24.
+    const double keep = std::min(1.0, 1500.0 / (4.0 * n * n + n * n * n));
+    const std::vector<ExperimentKey> requests = random_requests(n, keep, rng);
+    for (const bool parallel : {true, false}) {
+      PlanBuilder builder(topo);
+      for (const ExperimentKey& k : requests) builder.require(k);
+      expect_same_plan(builder.build(parallel),
+                       pairwise_first_fit(requests, topo, parallel),
+                       c.name + (parallel ? "" : " serial"));
+    }
+  }
+}
+
+TEST(PlanBuilderTest, RequireDedupIsExactUnderInterleavedDuplicates) {
+  // Duplicates in random order, with a unique() query mid-stream: the
+  // builder deduplicates in place on demand, then keeps appending.
+  Rng rng(7);
+  const int n = 16;
+  std::vector<ExperimentKey> unique_keys;
+  for (const Triplet& t : all_oriented_triplets(n))
+    for (const Bytes m : {Bytes(0), Bytes(32768)})
+      unique_keys.push_back(ExperimentKey::one_to_two(t, m, 0));
+  for (const auto& [i, j] : all_pairs(n))
+    unique_keys.push_back(ExperimentKey::roundtrip(i, j, 1024, 1024));
+  std::sort(unique_keys.begin(), unique_keys.end());
+
+  std::vector<ExperimentKey> requests;
+  for (const ExperimentKey& k : unique_keys) {
+    const int copies = int(rng.uniform_int(1, 3));
+    for (int c = 0; c < copies; ++c) {
+      // A symmetric round-trip asked for from the other end is the same
+      // experiment.
+      if (k.kind == ExperimentKind::kRoundtrip && c == 1)
+        requests.push_back(
+            ExperimentKey::roundtrip(k.b, k.a, k.m_fwd, k.m_back));
+      else
+        requests.push_back(k);
+    }
+  }
+  shuffle(requests, rng);
+
+  const sim::Topology topo =
+      sim::make_multicore_cluster(2, 2, 4).topology;
+  PlanBuilder interleaved(&topo);
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    interleaved.require(requests[r]);
+    if (r == requests.size() / 3) {
+      EXPECT_LE(interleaved.unique(), unique_keys.size());
+    }
+  }
+  EXPECT_EQ(interleaved.requests(), requests.size());
+  EXPECT_EQ(interleaved.unique(), unique_keys.size());
+
+  PlanBuilder presorted(&topo);
+  for (const ExperimentKey& k : unique_keys) presorted.require(k);
+  const ExperimentPlan got = interleaved.build(true);
+  EXPECT_EQ(got.deduplicated, requests.size() - unique_keys.size());
+  EXPECT_EQ(got.experiments(), unique_keys.size());
+  ExperimentPlan want = presorted.build(true);
+  want.requested = got.requested;
+  want.deduplicated = got.deduplicated;
+  expect_same_plan(got, want, "interleaved vs presorted");
 }
 
 // --------------------------------------------------------------- store --

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "estimate/schedule.hpp"
+#include "util/error.hpp"
 
 namespace lmo::estimate {
 namespace {
@@ -131,6 +133,50 @@ TEST(ScheduleEdges, PackPairsEmptyAndSingle) {
   const auto rounds = pack_pairs({{3, 4}});
   ASSERT_EQ(rounds.size(), 1u);
   EXPECT_EQ(rounds[0], (std::vector<Pair>{{3, 4}}));
+}
+
+TEST(ScheduleEdges, NegativeRankIdsAreErrorsNamingTheItem) {
+  // A negative id used to index the triplet packer's occupancy vector.
+  try {
+    (void)triplet_rounds({{0, 1, 2}, {3, -1, 4}});
+    ADD_FAILURE() << "accepted a negative rank id";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("triplet (3,-1,4)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)pack_pairs({{-2, 1}}), Error);
+}
+
+TEST(ScheduleEdges, PackingMemoryDoesNotScaleWithRankIds) {
+  // Resources are numbered densely: a rank id near INT_MAX costs one
+  // bitset, not a two-billion-entry occupancy vector per round.
+  const int big = 2'000'000'000;
+  const auto rounds = pack_pairs({{big, 1}, {big, 3}, {5, 6}, {7, 8}});
+  ASSERT_EQ(rounds.size(), 2u);
+  EXPECT_EQ(rounds[0], (std::vector<Pair>{{big, 1}, {5, 6}, {7, 8}}));
+  EXPECT_EQ(rounds[1], (std::vector<Pair>{{big, 3}}));
+  const auto triplets = triplet_rounds({{big, 0, 1}, {big - 1, 2, 3}});
+  ASSERT_EQ(triplets.size(), 1u);
+  EXPECT_EQ(triplets[0].size(), 2u);
+}
+
+TEST(ScheduleEdges, FirstFitPackerSeparatesSharedSegments) {
+  // Disjoint ranks sharing a contended switch cannot share a round; ranks
+  // and segments with equal numbers are distinct resources.
+  FirstFitPacker packer;
+  const auto none = [] { return "item"; };
+  const int a[] = {0, 1}, b[] = {2, 3}, c[] = {4, 5};
+  const FirstFitPacker::Segment up[] = {{2, 0}}, node0[] = {{1, 0}};
+  EXPECT_EQ(packer.place(a, up, none), 0u);
+  EXPECT_EQ(packer.place(b, up, none), 1u);
+  EXPECT_EQ(packer.place(c, node0, none), 0u);
+  EXPECT_EQ(packer.rounds(), 2u);
+  // More than 64 rounds: the search crosses a bitset word boundary.
+  for (std::size_t r = 1; r < 130; ++r)
+    EXPECT_EQ(packer.place(a, {}, none), r);
+  EXPECT_EQ(packer.place(b, {}, none), 0u);
+  EXPECT_EQ(packer.place(b, {}, none), 2u);
 }
 
 }  // namespace
