@@ -1,7 +1,7 @@
 // Engine microbenchmarks (google-benchmark): raw event throughput of the
 // discrete-event core, point-to-point round throughput of the vmpi layer,
-// collective simulation rates, experiment planning, and end-to-end
-// estimation costs.
+// collective simulation rates, experiment planning, end-to-end estimation
+// costs, and the tuner's model pricing (schedule replay, decide).
 //
 // The binary also counts global operator new calls (g_alloc_count below) and
 // reports them as per-item counters: `allocs_per_event` on BM_EngineEvents
@@ -10,7 +10,8 @@
 // steady-state schedule/fire cycle never touches the allocator — and
 // `allocs_per_round` on BM_PingPongRound tracks the per-round residue
 // (benchmark-side program vectors; the simulation itself is allocation-free
-// after warm-up).
+// after warm-up). `allocs_per_replay` on BM_ScheduleReplay must be 0 too:
+// the tuner's schedule evaluators keep their replay buffers per thread.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -18,6 +19,8 @@
 #include <new>
 
 #include "coll/collectives.hpp"
+#include "core/predictions.hpp"
+#include "core/tuner.hpp"
 #include "estimate/experimenter.hpp"
 #include "estimate/hockney_estimator.hpp"
 #include "estimate/lmo_estimator.hpp"
@@ -217,6 +220,79 @@ void BM_PlanBuild(benchmark::State& state) {
   state.counters["rounds"] = double(rounds);
 }
 BENCHMARK(BM_PlanBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The ground-truth LMO parameters of a simulated cluster.
+core::LmoParams ground_truth_params(const sim::ClusterConfig& cfg) {
+  const auto gt = sim::ground_truth(cfg);
+  const int n = cfg.size();
+  core::LmoParams p;
+  p.C = gt.C;
+  p.t = gt.t;
+  p.L = models::PairTable(n);
+  p.inv_beta = models::PairTable(n);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      p.L(i, j) = gt.L(i, j);
+      p.inv_beta(i, j) = gt.inv_beta(i, j);
+    }
+  return p;
+}
+
+/// Flat 48-node cluster (arg 0) or the contended 2x3x4 multicore tree
+/// (arg 1), the two platforms the tuner benches price on.
+sim::ClusterConfig tuner_platform(std::int64_t arg) {
+  return arg == 0 ? sim::make_random_cluster(48, 7)
+                  : sim::make_multicore_cluster(2, 3, 4);
+}
+
+// One schedule-evaluator call: an unsegmented binomial bcast of 64 KiB on
+// the contended 2x3x4 tree (arg 0, the mapping hill-climb's evaluation on
+// a hierarchy) or a 2 KiB-segmented chain bcast of 64 KiB on flat 48
+// (arg 1, 32 pipelined chunks). Allocations are counted after one warm-up
+// call has grown the per-thread replay buffers.
+void BM_ScheduleReplay(benchmark::State& state) {
+  const bool chain = state.range(0) == 1;
+  const sim::ClusterConfig cfg = tuner_platform(chain ? 0 : 1);
+  const core::LmoParams p = ground_truth_params(cfg);
+  const sim::Topology* topo = cfg.topology.empty() ? nullptr : &cfg.topology;
+  const trees::TreeKind kind =
+      chain ? trees::TreeKind::kChain : trees::TreeKind::kBinomial;
+  const Bytes segment = chain ? 2 * 1024 : 0;
+  auto replay = [&] {
+    return core::tree_bcast_time(p, kind, 0, 64 * 1024, {}, segment, topo);
+  };
+  benchmark::DoNotOptimize(replay());
+  std::int64_t replays = 0;
+  const std::int64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(replay());
+    ++replays;
+  }
+  const std::int64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.SetItemsProcessed(replays);
+  state.counters["allocs_per_replay"] =
+      benchmark::Counter(double(allocs) / double(replays));
+}
+BENCHMARK(BM_ScheduleReplay)->Arg(0)->Arg(1);
+
+// One Tuner::decide of a 64 KiB bcast: every candidate priced, including
+// the mapping hill-climb, on flat 48 (arg 0) or the contended 2x3x4 tree
+// (arg 1).
+void BM_TunerDecide(benchmark::State& state) {
+  const sim::ClusterConfig cfg = tuner_platform(state.range(0));
+  core::TunerOptions opts;
+  opts.topology = cfg.topology.empty() ? nullptr : &cfg.topology;
+  const core::Tuner tuner(ground_truth_params(cfg), core::GatherEmpirical{},
+                          opts);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        tuner.decide(core::CollectiveKind::kBcast, 0, 64 * 1024));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TunerDecide)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "coll/zoo.hpp"
+#include "trees/mapping.hpp"
 #include "util/error.hpp"
 
 namespace lmo::coll {
@@ -13,15 +14,10 @@ using vmpi::Comm;
 using vmpi::Task;
 
 std::vector<int> inverse_mapping(const std::vector<int>& mapping, int n) {
+  trees::check_mapping(mapping, n);
   if (mapping.empty()) return {};
-  LMO_CHECK_MSG(int(mapping.size()) == n, "mapping size != communicator size");
   std::vector<int> inverse(std::size_t(n), -1);
-  for (int v = 0; v < n; ++v) {
-    const int rank = mapping[std::size_t(v)];
-    LMO_CHECK_MSG(rank >= 0 && rank < n, "mapping entry out of range");
-    LMO_CHECK_MSG(inverse[std::size_t(rank)] < 0, "duplicate mapping entry");
-    inverse[std::size_t(rank)] = v;
-  }
+  for (int v = 0; v < n; ++v) inverse[std::size_t(mapping[std::size_t(v)])] = v;
   return inverse;
 }
 

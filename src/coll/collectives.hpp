@@ -21,9 +21,9 @@
 namespace lmo::coll {
 
 /// Inverse of a virtual-to-physical `mapping`: inverse[physical] =
-/// virtual. Validates that the mapping is a permutation of 0..n-1 (no
-/// duplicate or out-of-range entries) while building — a malformed
-/// mapping would silently wedge a collective in mismatched sends.
+/// virtual. Validates the mapping with trees::check_mapping first — a
+/// malformed mapping would silently wedge a collective in mismatched
+/// sends.
 /// Returns empty for an empty mapping (the MPI (v + root) mod n default).
 /// Collectives build this once per invocation, replacing the per-rank
 /// linear search that made mapped collectives O(n^2) at scale.

@@ -51,7 +51,9 @@ struct GatherPrediction {
 /// Binomial scatter under LMO: per subtree root, CPU processing of the
 /// child messages is serialized while transmissions and remote processing
 /// run in parallel — the recursion eqs. (1)-(2) with separated terms.
-/// `mapping` assigns physical ranks to virtual nodes (empty = MPI default).
+/// `mapping` assigns physical ranks to virtual nodes (empty = MPI default);
+/// here and in every evaluator below it must be empty or a permutation of
+/// 0..n-1 (trees::check_mapping) — only its size is checked per call.
 [[nodiscard]] double binomial_scatter_time(
     const LmoParams& p, int root, Bytes m,
     const std::vector<int>& mapping = {});
@@ -95,7 +97,9 @@ struct GatherPrediction {
 // the per-rank block (scatter/gather) into a pipelined series — chunk s+1
 // flows down the upper tree while chunk s drains below, which is how a
 // segmented chain becomes the classic pipelined broadcast. The evaluator
-// walks virtual ranks in topological order, so it is O(n * segments).
+// walks virtual ranks in topological order, so it is O(n * segments), and
+// reuses one per-thread set of buffers, so a steady-state call does not
+// allocate.
 // Every (kind, mapping, segment) triple priced here is executable by
 // coll::run_decision with the same arguments — the tuner never prices a
 // schedule the simulator cannot run.

@@ -290,6 +290,9 @@ Bytes Tuner::crossover(CollectiveKind kind, int root, Bytes lo,
 }
 
 double Tuner::price(const TunedDecision& d) const {
+  // A decision from outside may carry any mapping; the evaluators check
+  // only its size, so validate the permutation here, once.
+  trees::check_mapping(d.mapping, params_.size());
   return predict(d.kind, d.algorithm, d.root, d.message, d.mapping,
                  d.segment);
 }

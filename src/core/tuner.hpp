@@ -121,7 +121,8 @@ class Tuner {
 
   /// Price an externally supplied decision (e.g. one parsed off the wire)
   /// with this tuner's model — the same evaluator candidates() uses, so a
-  /// replayed decision re-prices to the bit.
+  /// replayed decision re-prices to the bit. Throws lmo::Error naming the
+  /// entry when d.mapping is neither empty nor a permutation of the ranks.
   [[nodiscard]] double price(const TunedDecision& d) const;
 
  private:

@@ -8,12 +8,6 @@ namespace lmo::trees {
 
 namespace {
 int lowbit(int v) { return v & -v; }
-
-int ceil_pow2(int n) {
-  int p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 }  // namespace
 
 int binomial_parent(int v) {
@@ -23,12 +17,9 @@ int binomial_parent(int v) {
 
 std::vector<int> binomial_children(int v, int n) {
   LMO_CHECK(v >= 0 && v < n);
-  // v's children are v + m for each m = 2^k below v's lowest set bit (or
-  // below ceil_pow2(n) for the root), largest first.
   std::vector<int> kids;
-  const int top = v == 0 ? ceil_pow2(n) : lowbit(v);
-  for (int m = top >> 1; m >= 1; m >>= 1)
-    if (v + m < n) kids.push_back(v + m);
+  for_each_binomial_child(v, n, /*smallest_first=*/false,
+                          [&](int child) { kids.push_back(child); });
   return kids;
 }
 
@@ -54,7 +45,7 @@ std::vector<Arc> binomial_arcs(int n) {
   std::vector<Arc> arcs;
   // Emit in global send order: rounds from the largest subtree down. In
   // round k every existing subtree root sends its 2^k-half away.
-  for (int m = ceil_pow2(n) >> 1; m >= 1; m >>= 1) {
+  for (int m = binomial_child_span(0, n) >> 1; m >= 1; m >>= 1) {
     for (int parent = 0; parent + m < n; parent += 2 * m) {
       const int child = parent + m;
       Arc a;

@@ -31,6 +31,28 @@ struct Arc {
 /// Children of virtual rank v in send order (largest subtree first).
 [[nodiscard]] std::vector<int> binomial_children(int v, int n);
 
+/// Exclusive bound on v's child offsets: v's children are v + k for each
+/// power of two k below lowbit(v), or below ceil_pow2(n) for the root.
+[[nodiscard]] inline int binomial_child_span(int v, int n) {
+  if (v != 0) return v & -v;
+  int top = 1;
+  while (top < n) top <<= 1;
+  return top;
+}
+
+/// Allocation-free binomial_children: f(child) for each child of v,
+/// largest subtree first, or smallest first when `smallest_first`.
+template <class F>
+void for_each_binomial_child(int v, int n, bool smallest_first, F&& f) {
+  const int top = binomial_child_span(v, n);
+  if (smallest_first) {
+    for (int k = 1; k < top && v + k < n; k <<= 1) f(v + k);
+  } else {
+    for (int k = top >> 1; k >= 1; k >>= 1)
+      if (v + k < n) f(v + k);
+  }
+}
+
 /// Number of blocks rooted at virtual rank v (its subtree size),
 /// min(lowbit(v), n - v); n for the root.
 [[nodiscard]] int binomial_subtree_blocks(int v, int n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -39,6 +40,25 @@ MappingResult climb(std::vector<int> seed, const MappingCost& cost,
   return best;
 }
 }  // namespace
+
+void check_mapping(const std::vector<int>& mapping, int n) {
+  if (mapping.empty()) return;
+  LMO_CHECK_MSG(int(mapping.size()) == n,
+                "mapping has " + std::to_string(mapping.size()) +
+                    " entries for " + std::to_string(n) + " processors");
+  std::vector<char> seen(std::size_t(n), 0);
+  for (int v = 0; v < n; ++v) {
+    const int rank = mapping[std::size_t(v)];
+    LMO_CHECK_MSG(rank >= 0 && rank < n,
+                  "mapping entry " + std::to_string(v) + " is " +
+                      std::to_string(rank) + ", outside 0.." +
+                      std::to_string(n - 1));
+    LMO_CHECK_MSG(!seen[std::size_t(rank)],
+                  "mapping entry " + std::to_string(v) + " repeats rank " +
+                      std::to_string(rank));
+    seen[std::size_t(rank)] = 1;
+  }
+}
 
 std::vector<int> default_mapping(int n, int root) {
   LMO_CHECK(n >= 1);

@@ -26,6 +26,14 @@ struct MappingResult {
   int evaluations = 0;
 };
 
+/// Throws lmo::Error naming the offending entry unless `mapping` is empty
+/// (the MPI default) or a permutation of 0..n-1: n entries, each in
+/// range, none repeated. A malformed mapping would index past the rank
+/// tables of an evaluator or wedge a collective in mismatched sends, so
+/// every mapping from outside (a request, a decision to execute) passes
+/// here once; the hill-climb only swaps entries of a valid mapping.
+void check_mapping(const std::vector<int>& mapping, int n);
+
 /// Identity mapping with the MPI root offset: v -> (v + root) mod n.
 [[nodiscard]] std::vector<int> default_mapping(int n, int root);
 

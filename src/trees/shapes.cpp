@@ -41,29 +41,16 @@ int tree_parent(TreeKind kind, int v) {
 std::vector<int> tree_children(TreeKind kind, int v, int n) {
   LMO_CHECK(v >= 0 && v < n);
   std::vector<int> kids;
-  switch (kind) {
-    case TreeKind::kFlat:
-      if (v == 0)
-        for (int c = 1; c < n; ++c) kids.push_back(c);
-      return kids;
-    case TreeKind::kChain:
-      if (v + 1 < n) kids.push_back(v + 1);
-      return kids;
-    case TreeKind::kBinary:
-      // Left child roots the (equal-or-)larger subtree: send it first.
-      if (2 * v + 1 < n) kids.push_back(2 * v + 1);
-      if (2 * v + 2 < n) kids.push_back(2 * v + 2);
-      return kids;
-    case TreeKind::kBinomial:
-      return binomial_children(v, n);
-  }
-  LMO_CHECK_MSG(false, "unknown tree kind");
+  for_each_tree_child(kind, v, n, /*recv_order=*/false,
+                      [&](int child) { kids.push_back(child); });
   return kids;
 }
 
 std::vector<int> tree_recv_order(TreeKind kind, int v, int n) {
-  auto kids = tree_children(kind, v, n);
-  if (kind != TreeKind::kFlat) std::reverse(kids.begin(), kids.end());
+  LMO_CHECK(v >= 0 && v < n);
+  std::vector<int> kids;
+  for_each_tree_child(kind, v, n, /*recv_order=*/true,
+                      [&](int child) { kids.push_back(child); });
   return kids;
 }
 

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "trees/binomial.hpp"
+
 namespace lmo::trees {
 
 enum class TreeKind { kFlat, kChain, kBinary, kBinomial };
@@ -38,6 +40,38 @@ enum class TreeKind { kFlat, kChain, kBinary, kBinomial };
 /// subtree first, so the largest has the most time to accumulate), except
 /// kFlat where the paper's linear algorithms fix rank order.
 [[nodiscard]] std::vector<int> tree_recv_order(TreeKind kind, int v, int n);
+
+/// Allocation-free form of tree_children (`recv_order` false) and
+/// tree_recv_order (`recv_order` true): f(child) for each child of v in
+/// that order. Schedule evaluators call this once per node per replay.
+template <class F>
+void for_each_tree_child(TreeKind kind, int v, int n, bool recv_order,
+                         F&& f) {
+  switch (kind) {
+    case TreeKind::kFlat:
+      if (v == 0)
+        for (int c = 1; c < n; ++c) f(c);
+      return;
+    case TreeKind::kChain:
+      if (v + 1 < n) f(v + 1);
+      return;
+    case TreeKind::kBinary: {
+      // Left child roots the (equal-or-)larger subtree: send it first.
+      const int left = 2 * v + 1, right = 2 * v + 2;
+      if (recv_order) {
+        if (right < n) f(right);
+        if (left < n) f(left);
+      } else {
+        if (left < n) f(left);
+        if (right < n) f(right);
+      }
+      return;
+    }
+    case TreeKind::kBinomial:
+      for_each_binomial_child(v, n, recv_order, f);
+      return;
+  }
+}
 
 /// Number of virtual ranks in the subtree rooted at v (the blocks a
 /// scatter pushes across the arc into v, including v's own block).

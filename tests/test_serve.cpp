@@ -251,6 +251,17 @@ TEST(ServeBadInputTest, MalformedRequestsNeverAbort) {
       R"({"op":"tune","collective":"bcast"})",        // missing message
       R"({"op":"tune","collective":"bcast","root":99,"message":64})",
       R"({"op":"measure","experiments":[{"kind":"??"}]})",
+      // Mappings that are not permutations of the 5 ranks: out of range,
+      // negative, repeated.
+      R"({"op":"predict_collective","collective":"bcast",)"
+      R"("algorithm":"chain","root":0,"message":4096,)"
+      R"("mapping":[0,1,2,3,999999]})",
+      R"({"op":"predict_collective","collective":"bcast",)"
+      R"("algorithm":"chain","root":0,"message":4096,)"
+      R"("mapping":[0,1,2,-1,3]})",
+      R"({"op":"predict_collective","collective":"bcast",)"
+      R"("algorithm":"chain","root":0,"message":4096,)"
+      R"("mapping":[0,0,0,0,0]})",
       std::string(64, '['),                   // nesting bomb
   };
   for (const std::string& line : hostile) {

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "coll/zoo.hpp"
 #include "core/tuner.hpp"
@@ -267,6 +271,100 @@ TEST(TunerTest, RejectsBadInput) {
   EXPECT_THROW((void)t.decide(CollectiveKind::kScatter, 99, 1024), Error);
   EXPECT_THROW((void)t.decide(CollectiveKind::kScatter, 0, -1), Error);
   EXPECT_THROW((void)t.crossover(CollectiveKind::kScatter, 0, 10, 10), Error);
+}
+
+TEST(TunerTest, PriceRejectsNonPermutationMapping) {
+  const auto t = make_tuner();
+  const int n = t.params().size();
+  TunedDecision d;
+  d.kind = CollectiveKind::kBcast;
+  d.algorithm = AlgorithmId::kChain;
+  d.message = 4096;
+  std::vector<int> identity(std::size_t(n), 0);
+  for (int v = 0; v < n; ++v) identity[std::size_t(v)] = v;
+  d.mapping = identity;
+  EXPECT_GT(t.price(d), 0.0);
+
+  auto rejects = [&](std::vector<int> mapping, const std::string& needle) {
+    d.mapping = std::move(mapping);
+    try {
+      (void)t.price(d);
+      ADD_FAILURE() << "accepted a mapping expected to mention " << needle;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  std::vector<int> bad = identity;
+  bad.back() = 999999;
+  rejects(bad, "entry " + std::to_string(n - 1) + " is 999999");
+  bad = identity;
+  bad[1] = -1;
+  rejects(bad, "entry 1 is -1");
+  rejects(std::vector<int>(std::size_t(n), 0), "entry 1 repeats rank 0");
+  rejects({0, 1}, "2 entries");
+}
+
+/// Candidate lists equal to the bit: algorithm, segment, mapping, price.
+void expect_same_candidates(const std::vector<TunedDecision>& got,
+                            const std::vector<TunedDecision>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].algorithm, want[i].algorithm);
+    EXPECT_EQ(got[i].segment, want[i].segment);
+    EXPECT_EQ(got[i].mapping, want[i].mapping);
+    EXPECT_EQ(std::memcmp(&got[i].predicted_seconds,
+                          &want[i].predicted_seconds, sizeof(double)),
+              0)
+        << got[i].describe() << ": " << got[i].predicted_seconds << " vs "
+        << want[i].predicted_seconds;
+  }
+}
+
+// The evaluators keep their replay buffers per thread: concurrent
+// decisions on one const Tuner must neither race nor perturb each other.
+TEST(TunerParallel, ConcurrentDecidesMatchSerial) {
+  const sim::ClusterConfig cfg = sim::make_multicore_cluster(2, 3, 4);
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner tuner(from_ground_truth(cfg), paper_band(), opts);
+  struct Query {
+    CollectiveKind kind;
+    int root;
+    Bytes m;
+  };
+  std::vector<Query> queries;
+  for (const CollectiveKind kind :
+       {CollectiveKind::kScatter, CollectiveKind::kGather,
+        CollectiveKind::kBcast, CollectiveKind::kReduce})
+    for (const Bytes m : {Bytes(512), Bytes(20000), Bytes(300000)})
+      queries.push_back({kind, int(queries.size()) % 3, m});
+  std::vector<std::vector<TunedDecision>> serial;
+  for (const Query& q : queries)
+    serial.push_back(tuner.candidates(q.kind, q.root, q.m));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<TunedDecision>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w)
+    threads.emplace_back([&, w] {
+      // Each thread walks the stream from a different offset, so the
+      // threads price different candidates at the same moment.
+      got[std::size_t(w)].resize(queries.size());
+      for (std::size_t k = 0; k < queries.size(); ++k) {
+        const std::size_t i = (k + std::size_t(w)) % queries.size();
+        got[std::size_t(w)][i] =
+            tuner.candidates(queries[i].kind, queries[i].root, queries[i].m);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (int w = 0; w < kThreads; ++w)
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      expect_same_candidates(got[std::size_t(w)][i], serial[i]);
+  for (const Query& q : queries) {
+    const TunedDecision d = tuner.decide(q.kind, q.root, q.m);
+    EXPECT_EQ(tuner.price(d), d.predicted_seconds) << d.describe();
+  }
 }
 
 }  // namespace
