@@ -1,7 +1,8 @@
 // Scale benchmark: the SoA hot state and the sampled estimator at large N.
 //
-// For N in {16, 256, 1024, 4096, 16384} (multicore shapes, block
-// placement; --max-ranks, default 4096, bounds the series):
+// For N in {16, 256, 1024, 4096, 16384, 65536} (multicore shapes, block
+// placement; --max-ranks, default 4096, bounds the series, and a value
+// outside [16, 65536] is a usage error, exit 2):
 //  * setup   — wall time to construct the simulation world (fabric SoA
 //              arrays, topology caches, rank programs),
 //  * session — wall time to construct one more SimSession from the
@@ -14,12 +15,15 @@
 //  * peak RSS — getrusage high water (run in ascending N so each row's
 //              value is attributable to its N; sub-quadratic growth here is
 //              the acceptance bar for the profile/SoA refactor).
-// Writes the series to --out (default BENCH_scale.json) for CI to diff.
+// Writes an lmo.bench/1 record to --out (default BENCH_scale.json), one
+// metric per row and field, named N=<ranks>.<field>: work counts are
+// gated exactly, timings and RSS by a 50% worse-direction threshold
+// (`tools/bench_report.py OLD NEW`).
 #include <sys/resource.h>
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "coll/collectives.hpp"
 #include "common.hpp"
@@ -55,14 +59,24 @@ int run(int argc, char** argv) {
   const auto seed = std::uint64_t(cli.get_int("seed", 1));
   const Bytes bcast_bytes = 4 * 1024;
 
-  const Shape shapes[] = {
-      {1, 4, 4}, {4, 8, 8}, {4, 16, 16}, {8, 32, 16},
-      {32, 32, 16}};  // 16..16384 ranks
+  const Shape shapes[] = {{1, 4, 4},    {4, 8, 8},    {4, 16, 16},
+                          {8, 32, 16},  {32, 32, 16}, {128, 32, 16}};
+  const int smallest = shapes[0].ranks();
+  const int largest = std::end(shapes)[-1].ranks();
+  if (max_ranks < smallest || max_ranks > largest) {
+    std::cerr << "error: --max-ranks " << max_ranks << " is outside the "
+              << "series (" << smallest << ".." << largest << " ranks)\n";
+    return 2;
+  }
 
   Table table({"ranks", "setup [ms]", "session [ms]", "events",
                "events/s [M]", "scale fit [ms]", "triplets",
                "peak RSS [MB]"});
-  obs::Json series = obs::Json::array();
+  // Work counts are deterministic per seed; timings and RSS are
+  // host-noisy.
+  using bench::Better;
+  using bench::Gate;
+  std::vector<bench::BenchMetric> metrics;
   for (const Shape& shape : shapes) {
     const int n = shape.ranks();
     if (n > max_ranks) continue;
@@ -109,34 +123,33 @@ int run(int argc, char** argv) {
                    format_fixed(fit_s * 1e3, 2),
                    std::to_string(fit.triplets.size()),
                    format_fixed(double(rss_kb) / 1024.0, 1)});
-    obs::Json row = obs::Json::object();
-    row["ranks"] = n;
-    row["setup_s"] = setup_s;
-    row["session_construct_s"] = session_s;
-    row["events"] = std::int64_t(events);
-    row["events_per_s"] = events_per_s;
-    row["scale_fit_s"] = fit_s;
-    row["triplets"] = std::int64_t(fit.triplets.size());
-    row["roundtrip_experiments"] = std::int64_t(fit.roundtrip_experiments);
-    row["one_to_two_experiments"] = std::int64_t(fit.one_to_two_experiments);
-    row["store_entries"] = std::int64_t(store.size());
-    row["peak_rss_kb"] = std::int64_t(rss_kb);
-    series.push_back(std::move(row));
+    const std::string row = "N=" + std::to_string(n) + ".";
+    auto exact = [&](const char* field, double value) {
+      metrics.push_back(
+          {row + field, value, "count", Better::kLower, Gate::kExact});
+    };
+    auto noisy = [&](const char* field, double value, const char* unit,
+                     Better better) {
+      metrics.push_back({row + field, value, unit, better, Gate::kThreshold});
+    };
+    noisy("setup_s", setup_s, "s", Better::kLower);
+    noisy("session_construct_s", session_s, "s", Better::kLower);
+    exact("events", events);
+    noisy("events_per_s", events_per_s, "1/s", Better::kHigher);
+    noisy("scale_fit_s", fit_s, "s", Better::kLower);
+    exact("triplets", double(fit.triplets.size()));
+    exact("roundtrip_experiments", double(fit.roundtrip_experiments));
+    exact("one_to_two_experiments", double(fit.one_to_two_experiments));
+    exact("store_entries", double(store.size()));
+    noisy("peak_rss_kb", double(rss_kb), "KiB", Better::kLower);
   }
   bench::emit(table, cli,
               "Scale — SoA state and sampled fit, N up to " +
                   std::to_string(max_ranks));
 
-  obs::Json doc = obs::Json::object();
-  doc["schema"] = "lmo.bench_scale/1";
-  doc["seed"] = std::int64_t(seed);
-  doc["series"] = std::move(series);
-  {
-    std::ofstream f(out);
-    LMO_CHECK_MSG(f.good(), "cannot write " + out);
-    doc.dump(f, 2);
-    f << "\n";
-  }
+  obs::Json workload = obs::Json::object();
+  workload["seed"] = std::int64_t(seed);
+  bench::write_bench_record(out, "bench_scale", std::move(workload), metrics);
   std::cout << "\nscale series: " << out << "\n";
   return bench::finish_run();
 }

@@ -1,8 +1,10 @@
 #include "common.hpp"
 
 #include <cmath>
+#include <fstream>
 #include <iostream>
 #include <memory>
+#include <thread>
 
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
@@ -120,6 +122,63 @@ bool reporting() { return run_state().report != nullptr; }
 
 void report_set(const std::string& key, obs::Json value) {
   if (run_state().report) run_state().report->set(key, std::move(value));
+}
+
+void write_bench_record(const std::string& path, const std::string& bench,
+                        obs::Json workload,
+                        const std::vector<BenchMetric>& metrics) {
+  obs::Json host = obs::build_provenance();
+  host["cores"] = int(std::thread::hardware_concurrency());
+  obs::Json list = obs::Json::array();
+  for (const BenchMetric& m : metrics) {
+    obs::Json metric = obs::Json::object();
+    metric["name"] = m.name;
+    metric["value"] = m.value;
+    metric["unit"] = m.unit;
+    metric["better"] = m.better == Better::kHigher ? "higher" : "lower";
+    metric["gate"] = m.gate == Gate::kExact       ? "exact"
+                     : m.gate == Gate::kThreshold ? "threshold"
+                                                  : "none";
+    list.push_back(std::move(metric));
+  }
+  obs::Json doc = obs::Json::object();
+  doc["schema"] = "lmo.bench/1";
+  doc["bench"] = bench;
+  doc["host"] = std::move(host);
+  doc["workload"] = std::move(workload);
+  doc["metrics"] = std::move(list);
+  std::ofstream f(path);
+  LMO_CHECK_MSG(f.good(), "cannot write " + path);
+  doc.dump(f, 2);
+  f << "\n";
+}
+
+std::vector<std::string> regret_bar_failures(
+    const std::vector<RegretCase>& cases, double max_regret) {
+  std::vector<std::string> failures;
+  if (cases.empty()) failures.push_back("the sweep ran no cases");
+  for (const RegretCase& c : cases)
+    if (!(c.regret <= max_regret))
+      failures.push_back(c.row + ", regret " +
+                         format_fixed(100.0 * c.regret, 1) +
+                         "% is not within --max-regret " +
+                         format_fixed(100.0 * max_regret, 1) + "%");
+  return failures;
+}
+
+std::vector<std::string> served_bar_failures(double service_qps,
+                                             double min_qps, double scaling,
+                                             double min_scaling) {
+  std::vector<std::string> failures;
+  if (min_qps > 0.0 && !(service_qps >= min_qps))
+    failures.push_back("service_qps " + format_fixed(service_qps, 0) +
+                       " is not at least --min-qps " +
+                       format_fixed(min_qps, 0));
+  if (min_scaling > 0.0 && !(scaling > min_scaling))
+    failures.push_back("multi_reader_scaling " + format_fixed(scaling, 3) +
+                       " is not above --min-scaling " +
+                       format_fixed(min_scaling, 3));
+  return failures;
 }
 
 void record_residual(const std::string& model, const std::string& op, Bytes m,

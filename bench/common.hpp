@@ -74,6 +74,51 @@ struct BenchEnv {
 /// run report is active the table is also recorded in it.
 void emit(const Table& table, const Cli& cli, const std::string& title);
 
+/// One metric of an lmo.bench/1 record, and how tools/bench_report.py
+/// gates it against a baseline record: kExact fails on any change,
+/// kThreshold on a move in the worse direction by more than the differ's
+/// relative bound (0.5 unless --threshold says otherwise), kNone is
+/// recorded but never gated.
+enum class Better { kHigher, kLower };
+enum class Gate { kExact, kThreshold, kNone };
+struct BenchMetric {
+  std::string name;
+  double value = 0.0;
+  std::string unit;
+  Better better = Better::kLower;
+  Gate gate = Gate::kNone;
+};
+
+/// Write the lmo.bench/1 record every regression-gated bench emits:
+///   {"schema": "lmo.bench/1", "bench": ..., "host": {"cores", "build",
+///    "compiler"}, "workload": {...}, "metrics": [{"name", "value",
+///    "unit", "better", "gate"}, ...]}
+/// `host` is information only; `workload` holds the knobs two runs must
+/// share to be comparable (the differ fails when they differ). Throws
+/// lmo::Error when `path` cannot be written.
+void write_bench_record(const std::string& path, const std::string& bench,
+                        obs::Json workload,
+                        const std::vector<BenchMetric>& metrics);
+
+/// One case of bench_ext_tuner's sweep: its row, "<cluster> <op>
+/// M=<size>: chose '<plan>'", and the regret of the chosen plan.
+struct RegretCase {
+  std::string row;
+  double regret = 0.0;
+};
+
+/// bench_ext_tuner's --max-regret bar: one line per case whose regret is
+/// not <= `max_regret` (a NaN regret fails), naming its row, and one line
+/// when the sweep ran no cases. Empty = pass.
+[[nodiscard]] std::vector<std::string> regret_bar_failures(
+    const std::vector<RegretCase>& cases, double max_regret);
+
+/// bench_served's bars: service_qps >= `min_qps` and multi_reader_scaling
+/// > `min_scaling` (strict). A bar of 0 is off; a NaN fails any bar that
+/// is on. One line per failed bar; empty = pass.
+[[nodiscard]] std::vector<std::string> served_bar_failures(
+    double service_qps, double min_qps, double scaling, double min_scaling);
+
 /// True when --report made this run collect a report.
 [[nodiscard]] bool reporting();
 /// Record a top-level report section; no-op without --report.

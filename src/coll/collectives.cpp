@@ -101,13 +101,9 @@ Task linear_gatherv(Comm& c, int root, std::vector<Bytes> sizes) {
 }
 
 Task linear_bcast(Comm& c, int root, Bytes bytes) {
-  LMO_CHECK(root >= 0 && root < c.size());
-  if (c.rank() == root) {
-    for (int dst = 0; dst < c.size(); ++dst)
-      if (dst != root) co_await c.send(dst, bytes);
-  } else {
-    co_await c.recv(root);
-  }
+  // A flat broadcast is a linear scatter whose blocks are the whole
+  // message: the root sends `bytes` to every other rank in rank order.
+  return linear_scatter(c, root, bytes);
 }
 
 Task binomial_bcast(Comm& c, int root, Bytes bytes,

@@ -70,7 +70,8 @@ vmpi::Task linear_scatterv(vmpi::Comm& c, int root, std::vector<Bytes> sizes);
 vmpi::Task linear_gatherv(vmpi::Comm& c, int root, std::vector<Bytes> sizes);
 
 /// Flat-tree broadcast (same message to everyone) — extension beyond the
-/// paper's scatter/gather focus.
+/// paper's scatter/gather focus. Forwards to linear_scatter: the root
+/// sends `bytes` to every other rank in rank order.
 vmpi::Task linear_bcast(vmpi::Comm& c, int root, Bytes bytes);
 
 /// Binomial-tree broadcast. `mapping` assigns physical ranks to virtual

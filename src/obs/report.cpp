@@ -35,19 +35,24 @@ Json degradation_json(const Snapshot& snap) {
   return out;
 }
 
+Json build_provenance() {
+  Json out = Json::object();
+#if defined(__VERSION__)
+  out["compiler"] = std::string(__VERSION__);
+#endif
+#if defined(NDEBUG)
+  out["build"] = "release";
+#else
+  out["build"] = "debug";
+#endif
+  return out;
+}
+
 ReportBuilder::ReportBuilder(std::string tool)
     : tool_(std::move(tool)),
       t0_us_(wall_now_us()),
-      created_unix_((long long)std::time(nullptr)) {
-#if defined(__VERSION__)
-  provenance_["compiler"] = std::string(__VERSION__);
-#endif
-#if defined(NDEBUG)
-  provenance_["build"] = "release";
-#else
-  provenance_["build"] = "debug";
-#endif
-}
+      created_unix_((long long)std::time(nullptr)),
+      provenance_(build_provenance()) {}
 
 void ReportBuilder::set(const std::string& key, Json value) {
   for (const auto& section : sections_) {

@@ -41,6 +41,11 @@ inline constexpr const char* kReportSchema = "lmo.run_report/1";
 /// it as an artifact.
 [[nodiscard]] Json degradation_json(const Snapshot& snap);
 
+/// The build's compiler version and flavor ({"compiler", "build":
+/// "release"|"debug"}): the provenance every run report and bench record
+/// carries.
+[[nodiscard]] Json build_provenance();
+
 class ReportBuilder {
  public:
   explicit ReportBuilder(std::string tool);

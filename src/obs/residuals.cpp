@@ -276,7 +276,12 @@ std::vector<std::string> fidelity_drift(const Json& baseline,
     }
     const double bmre = brank[r].at("mre").as_double();
     const double cmre = crank[r].at("mre").as_double();
-    if (std::fabs(cmre - bmre) > std::max(abs_tol, rel_tol * bmre))
+    // A non-finite current MRE fails outright; the drift test is written
+    // !(drift <= tol) so a NaN baseline fails as well.
+    if (!std::isfinite(cmre))
+      failures.push_back(cm + " mre is not finite (baseline " +
+                         std::to_string(bmre) + ")");
+    else if (!(std::fabs(cmre - bmre) <= std::max(abs_tol, rel_tol * bmre)))
       failures.push_back(cm + " mre " + std::to_string(cmre) +
                          " drifted from baseline " + std::to_string(bmre));
   }

@@ -13,8 +13,8 @@
 // to_json() renders the "fidelity" report section (schema lmo.fidelity/1)
 // with per-model breakdowns and a rank ordering by mean relative error
 // over the collective-scope ops every ranked model shares — the paper's
-// Table-2 comparison as a continuously verified invariant
-// (tools/bench_report.py --fidelity-diff gates CI on it).
+// Table-2 comparison as a continuously verified invariant (the
+// --fidelity-baseline gate, fidelity_drift below, runs on it in CI).
 //
 // A process-global tracker mirrors the trace-sink pattern: null (the
 // default) makes record_residual() free; benches/tools install one when a
@@ -110,11 +110,12 @@ void record_residual(const std::string& model, const std::string& op,
 [[nodiscard]] Json load_fidelity(const std::string& path);
 
 /// Accuracy drift between two fidelity documents: the rankings must list
-/// the same models in the same order, and no ranked model's MRE may move
-/// from the baseline by more than max(abs_tol, rel_tol * baseline MRE).
-/// Returns one human-readable line per violation; empty means the current
-/// document is within bounds. Shared by the bench --fidelity-baseline
-/// gate, lmo_tool, and tools/bench_report.py mirrors the same rule.
+/// the same models in the same order, no ranked model's MRE may be
+/// non-finite, and none may move from the baseline by more than
+/// max(abs_tol, rel_tol * baseline MRE). Returns one human-readable line
+/// per violation; empty means the current document is within bounds. The
+/// one implementation of the rule: the bench --fidelity-baseline gate and
+/// lmo_tool both call it.
 [[nodiscard]] std::vector<std::string> fidelity_drift(const Json& baseline,
                                                       const Json& current,
                                                       double abs_tol = 0.02,

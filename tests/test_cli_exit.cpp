@@ -178,4 +178,33 @@ TEST(BenchExitTest, BadServedKnobsFailNamed) {
       "/nonexistent/dir/x.json");
 }
 
+TEST(BenchExitTest, ServedBarsItCannotMeetFailNamed) {
+  // Each absolute bar fails the run on its own, naming the metric.
+  const std::string small = std::string(LMO_BENCH_SERVED_BIN) +
+                            " --batch 8 --batches 1 --reader-iters 100"
+                            " --threads 1 --jobs 2 --out /dev/null";
+  const RunResult qps = run(small + " --min-qps 1e15 --min-scaling 0");
+  EXPECT_EQ(qps.exit_code, 1) << qps.output;
+  EXPECT_NE(qps.output.find("FAIL: service_qps"), std::string::npos)
+      << qps.output;
+  const RunResult scaling = run(small + " --min-qps 0 --min-scaling 1e9");
+  EXPECT_EQ(scaling.exit_code, 1) << scaling.output;
+  EXPECT_NE(scaling.output.find("FAIL: multi_reader_scaling"),
+            std::string::npos)
+      << scaling.output;
+}
+
+TEST(BenchExitTest, ScaleMaxRanksBeyondTheSeriesIsUsage) {
+  // A bound outside the series must not silently run a shorter one; it
+  // is rejected before any cluster is built.
+  for (const char* ranks : {"65537", "8"}) {
+    const RunResult r = run(std::string(LMO_BENCH_SCALE_BIN) +
+                            " --max-ranks " + ranks + " --out /dev/null");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("error: --max-ranks " + std::string(ranks)),
+              std::string::npos)
+        << r.output;
+  }
+}
+
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -554,6 +555,19 @@ TEST(ObsResiduals, FidelityDriftFlagsRankSwapsAndDrift) {
   // A ranking swap is two violations.
   EXPECT_EQ(fidelity_drift(base, fid({{"plogp", 0.5}, {"lmo", 0.1}})).size(),
             2u);
+  // A model dropping out of the ranking changes its length.
+  const auto shorter = fidelity_drift(base, fid({{"lmo", 0.1}}));
+  ASSERT_EQ(shorter.size(), 1u);
+  EXPECT_NE(shorter[0].find("1 models"), std::string::npos) << shorter[0];
+  // A NaN MRE fails, naming the model: NaN compares false against any
+  // tolerance, so it must not slip through as "no drift".
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto undefined = fidelity_drift(base, fid({{"lmo", nan},
+                                                   {"plogp", 0.5}}));
+  ASSERT_EQ(undefined.size(), 1u);
+  EXPECT_NE(undefined[0].find("lmo"), std::string::npos);
+  EXPECT_EQ(fidelity_drift(fid({{"lmo", nan}, {"plogp", 0.5}}), base).size(),
+            1u);
 }
 
 // ----------------------------------------- concurrent publication (TSan) ----

@@ -1,775 +1,233 @@
 #!/usr/bin/env python3
-"""Run a bench binary and diff its key metrics against the previously saved
-point.
+"""Diff two lmo.bench/1 records and fail on any gated regression.
 
-    tools/bench_report.py bench_table2_predictions
-    tools/bench_report.py bench_sec4_estimation_cost -- --reps 4
-    tools/bench_report.py bench_table2_predictions --threshold 0.25 --update
-    tools/bench_report.py bench_engine_microbench --gbench --name engine \\
-        -- --benchmark_filter=BM_EngineEvents
-    tools/bench_report.py --fidelity-diff baseline.json new.json
-    tools/bench_report.py --scale-diff old_scale.json new_scale.json
-    tools/bench_report.py --served-diff old_served.json new_served.json
-    tools/bench_report.py --tuner-gate tuner_report.json
+    tools/bench_report.py OLD NEW [--threshold X]
     tools/bench_report.py --self-test
 
-Two kinds of binaries are understood:
+An lmo.bench/1 record (written by bench::write_bench_record in
+bench/common.cpp; bench_scale and bench_served emit one with --out) is
 
-  * run-report binaries (default): run with `--report <tmp>` and emit a
-    lmo.run_report/1 document. The report is flattened to numeric leaves;
-    wall-clock and host-dependent values (created_unix, wall_seconds,
-    thread_pool, sim.host_ns, estimate.reps_discarded) are excluded because
-    they vary run to run. Everything else is a deterministic function of
-    the seed, so any drift is a real behavior change.
-  * --gbench binaries: google-benchmark microbenchmarks, run with
-    `--benchmark_out=<tmp> --benchmark_out_format=json`. Timings are kept
-    (real_time, cpu_time, items_per_second, custom counters); the host
-    context and bookkeeping fields are dropped. Timings are inherently
-    noisy — compare with a generous --threshold.
+    {"schema": "lmo.bench/1", "bench": "bench_served",
+     "host": {"cores": 4, "build": "release", "compiler": "..."},
+     "workload": {"cluster_size": 16, "threads": 4, ...},
+     "metrics": [{"name": "service_qps", "value": 846465.08, "unit": "1/s",
+                  "better": "higher", "gate": "threshold"},
+                 ...]}
 
-The previous point lives at <history>/BENCH_<name>.json (default
-bench/reports/; --name overrides the <name> part, which otherwise is the
-binary name). With no previous point the run just saves one. A relative
-change above --threshold on any shared key is a regression, and a metric
-appearing in or vanishing from the report is reported the same way — a
-rename or a lost counter is just as much a behavior change as a moved
-value. Any of these prints, and the script exits 1 without overwriting the
-point (pass --update to accept the new values).
+NEW fails against OLD when
+  * the bench name or the workload objects differ (the runs are not
+    comparable);
+  * a metric is present in only one record, or its unit, better or gate
+    changed;
+  * a gated metric's new value is not finite (NaN is written as null);
+  * an `exact` metric changed at all;
+  * a `threshold` metric moved in its worse direction by more than
+    THRESHOLD_BOUND (a relative change of 0.5), or moved from a
+    non-finite value. A move in the better direction never fails.
+    --threshold X replaces the bound with X.
+`none` metrics are recorded, never gated; `host` is information only.
 
---fidelity-diff OLD NEW compares two model-fidelity documents instead of
-running a binary. Each argument is either a standalone lmo.fidelity/1 file
-(--fidelity-save output) or a run report carrying a "fidelity" section.
-The check mirrors the in-binary --fidelity-baseline gate: the model
-rankings must list the same models in the same order, and no ranked
-model's MRE may drift from the old document by more than
-max(0.02, threshold * old MRE); --threshold defaults to 0.25 in this mode.
-Exit 1 on any violation — the accuracy ordering (paper Table 2) is a
-continuously verified invariant, not a one-off result.
-
---served-diff OLD NEW compares two lmo.bench_served/1 documents (written
-by bench/bench_served). The workload knobs (cluster size, store entries,
-batch shape, thread count) must match exactly — throughputs from different
-workloads are not comparable. Throughputs are host-noisy and only fail
-past --threshold (default 0.50 in this mode). Independent of the baseline,
-the new document must clear the serving acceptance bar: service_qps at
-least 10000 queries/s and multi_reader_scaling strictly above 1.0 (the
-snapshot read path must beat the coarse-lock path it replaced). Exit 1 on
-any violation.
-
---tuner-gate REPORT checks the "tuner_validation" section of a
-bench_ext_tuner run report: every sweep case's regret (how much slower
-the tuner's chosen plan ran than the best simulated candidate) must be
-at most --threshold (default 0.10 in this mode — the acceptance bar),
-and the sweep must actually contain cases. Exit 1 on any violation;
-the offending (cluster, op, size, chosen plan) rows are printed.
-
---scale-diff OLD NEW compares two lmo.bench_scale/1 documents (written by
-bench/bench_scale) series-row by series-row, keyed on the rank count N.
-Work counts (events, triplets, experiment and store-entry totals) are a
-deterministic function of the seed and must match exactly; timings and
-peak RSS are host-noisy and only fail above --threshold (default 0.50 in
-this mode). An N value appearing in or vanishing from the series is a
-failure too — that is coverage changing, not noise. Exit 1 on any
-violation.
+Exit 0 when NEW passes, 1 when it fails or a file is not an lmo.bench/1
+record, 2 on a usage error. Absolute acceptance bars are not checked here:
+each lives in the binary that measures it (bench_served --min-qps and
+--min-scaling, bench_ext_tuner --max-regret, --fidelity-baseline).
 """
 
 import argparse
 import json
 import math
-import os
-import subprocess
 import sys
-import tempfile
 
-# Keys whose values depend on the host, wall clock, or jobs count rather
-# than on the simulated behavior under test.
-VOLATILE = {
-    "created_unix",
-    "wall_seconds",
-    "thread_pool",
-    "provenance",
-    "sim.host_ns",
-    "estimate.reps_discarded",
-}
-
-# google-benchmark per-benchmark bookkeeping that is not a measurement.
-GBENCH_SKIP = {
-    "name",
-    "run_name",
-    "run_type",
-    "repetitions",
-    "repetition_index",
-    "family_index",
-    "per_family_instance_index",
-    "threads",
-    "iterations",
-    "aggregate_name",
-    "time_unit",
-}
-
-
-def flatten(value, prefix=""):
-    """Numeric leaves of a JSON document as {dotted.path: float}."""
-    out = {}
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            if key in VOLATILE:
-                continue
-            out.update(flatten(sub, f"{prefix}{key}."))
-    elif isinstance(value, list):
-        for i, sub in enumerate(value):
-            out.update(flatten(sub, f"{prefix}{i}."))
-    elif isinstance(value, bool):
-        pass
-    elif isinstance(value, (int, float)):
-        out[prefix[:-1]] = float(value)
-    return out
-
-
-def flatten_gbench(report):
-    """google-benchmark JSON output as {benchmark_name.metric: float}.
-
-    The `context` block (host name, CPU info, build type) is dropped
-    entirely; per-benchmark bookkeeping fields are skipped so the metrics
-    are the timings and custom counters only.
-    """
-    out = {}
-    for bench in report.get("benchmarks", []):
-        name = bench.get("name", "?")
-        for key, value in bench.items():
-            if key in GBENCH_SKIP or isinstance(value, bool):
-                continue
-            if isinstance(value, (int, float)):
-                out[f"{name}.{key}"] = float(value)
-    return out
+SCHEMA = "lmo.bench/1"
+# Relative worse-direction move a `threshold` metric may make: benchmark
+# timings and throughputs on shared hosts spread this far between runs.
+THRESHOLD_BOUND = 0.5
 
 
 def rel_change(old, new):
     """Relative change in [0, inf]. NaN never propagates: equal values
-    (including two NaNs, which compare unequal but mean "same undefined
-    metric" here) give 0.0, and a value moving to or from a non-finite
-    state counts as an infinite change rather than NaN — the old code
-    returned NaN for those, which failed every `change > threshold`
-    comparison and silently hid the regression."""
+    (including two NaNs) give 0.0, and a value moving to or from a
+    non-finite state counts as an infinite change rather than NaN, which
+    would fail every `change > bound` comparison and hide the move."""
     if old == new or (math.isnan(old) and math.isnan(new)):
         return 0.0
     if not (math.isfinite(old) and math.isfinite(new)):
         return math.inf
-    denom = max(abs(old), abs(new))
-    return abs(new - old) / denom
+    return abs(new - old) / max(abs(old), abs(new))
 
 
-def diff_points(old, new, threshold):
-    """Compare two flattened metric dicts.
-
-    Returns (regressions, added, dropped): regressions is a list of
-    (change, key) over the shared keys exceeding the threshold, sorted
-    worst first; added/dropped are sorted key lists present in only one
-    point. All three are reportable changes — callers should fail if any
-    list is non-empty.
-    """
-    regressions = []
-    for key in set(old) & set(new):
-        change = rel_change(old[key], new[key])
-        if change > threshold:
-            regressions.append((change, key))
-    regressions.sort(reverse=True)
-    return regressions, sorted(set(new) - set(old)), sorted(set(old) - set(new))
+def value(metric):
+    """A metric's value as a float; null (a non-finite value) is NaN."""
+    v = metric.get("value")
+    return math.nan if v is None else float(v)
 
 
-def load_fidelity(path):
-    """A fidelity document: standalone lmo.fidelity/1 JSON, or a run report
-    carrying one under its "fidelity" key."""
+def load(path):
     with open(path) as f:
         doc = json.load(f)
-    if isinstance(doc, dict) and isinstance(doc.get("fidelity"), dict):
-        doc = doc["fidelity"]
-    if doc.get("schema") != "lmo.fidelity/1":
-        sys.exit(f"error: {path} is not a fidelity document "
-                 f"(schema {doc.get('schema')!r})")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        sys.exit(f"error: {path} is not an {SCHEMA} record (schema {schema!r})")
+    names = [m["name"] for m in doc["metrics"]]
+    if len(set(names)) != len(names):
+        sys.exit(f"error: {path} names a metric more than once")
     return doc
 
 
-def diff_fidelity(old, new, threshold):
-    """Violations between two fidelity documents, as printable strings.
-
-    Mirrors obs::fidelity_drift in src/obs/residuals.cpp: the rankings must
-    agree model-for-model in order, and each ranked model's MRE may drift
-    from the old value by at most max(0.02, threshold * old). Empty list =
-    the accuracy ordering and magnitudes are preserved.
-    """
+def diff(old, new, threshold=THRESHOLD_BOUND):
+    """Failures of NEW against OLD as printable strings; empty = pass."""
     failures = []
-    old_rank, new_rank = old.get("ranking", []), new.get("ranking", [])
-    if len(old_rank) != len(new_rank):
-        failures.append(f"ranking has {len(new_rank)} models, "
-                        f"baseline has {len(old_rank)}")
-    for r, (o, n) in enumerate(zip(old_rank, new_rank)):
-        if o["model"] != n["model"]:
-            failures.append(f"rank {r + 1} is {n['model']}, "
-                            f"baseline says {o['model']}")
+    if old["bench"] != new["bench"]:
+        failures.append(f"bench: {old['bench']} -> {new['bench']}")
+    ow, nw = old["workload"], new["workload"]
+    for key in sorted(ow.keys() | nw.keys()):
+        if key not in ow or key not in nw or ow[key] != nw[key]:
+            failures.append(f"workload.{key}: {json.dumps(ow.get(key))} -> "
+                            f"{json.dumps(nw.get(key))} (runs are not "
+                            f"comparable)")
+    olds = {m["name"]: m for m in old["metrics"]}
+    news = {m["name"]: m for m in new["metrics"]}
+    failures += [f"{n}: dropped" for n in olds if n not in news]
+    failures += [f"{n}: added" for n in news if n not in olds]
+    for name, w in news.items():
+        o = olds.get(name)
+        if o is None:
             continue
-        drift = abs(n["mre"] - o["mre"])
-        if drift > max(0.02, threshold * o["mre"]):
-            failures.append(f"{n['model']} mre {n['mre']:g} drifted from "
-                            f"baseline {o['mre']:g}")
-    return failures
-
-
-# Per-N fields of a bench_scale series row that are pure work counts:
-# deterministic functions of the seed and cluster shape, so any drift is a
-# behavior change, not noise.
-SCALE_EXACT = (
-    "events",
-    "triplets",
-    "roundtrip_experiments",
-    "one_to_two_experiments",
-    "store_entries",
-)
-
-# Per-N fields that depend on the host: compare with a generous threshold.
-SCALE_NOISY = ("setup_s", "session_construct_s", "events_per_s",
-               "scale_fit_s", "peak_rss_kb")
-
-
-def load_scale(path):
-    """A scale-series document written by bench/bench_scale."""
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") != "lmo.bench_scale/1":
-        sys.exit(f"error: {path} is not a bench_scale document "
-                 f"(schema {doc.get('schema')!r})")
-    return doc
-
-
-def diff_scale(old, new, threshold):
-    """Violations between two scale-series documents, as printable strings.
-
-    Rows are matched on their "ranks" value, so the comparison is
-    insensitive to --max-ranks truncation order. Exact-match fields
-    (SCALE_EXACT) fail on any difference; noisy fields (SCALE_NOISY) fail
-    past the relative threshold. Ns present in only one document fail.
-    """
-    failures = []
-    old_by_n = {row["ranks"]: row for row in old.get("series", [])}
-    new_by_n = {row["ranks"]: row for row in new.get("series", [])}
-    for n in sorted(set(old_by_n) - set(new_by_n)):
-        failures.append(f"N={n} vanished from the series")
-    for n in sorted(set(new_by_n) - set(old_by_n)):
-        failures.append(f"N={n} appeared in the series")
-    for n in sorted(set(old_by_n) & set(new_by_n)):
-        o, w = old_by_n[n], new_by_n[n]
-        for key in SCALE_EXACT:
-            if key in o and key in w and o[key] != w[key]:
-                failures.append(f"N={n} {key}: {o[key]:g} -> {w[key]:g} "
-                                f"(work count must match exactly)")
-        for key in SCALE_NOISY:
-            if key not in o or key not in w:
-                continue
-            change = rel_change(float(o[key]), float(w[key]))
-            if change > threshold:
-                failures.append(f"N={n} {key}: {o[key]:g} -> {w[key]:g} "
-                                f"({change:+.0%})")
-    return failures
-
-
-# Workload knobs of a bench_served document: two runs are only comparable
-# when these match exactly.
-SERVED_EXACT = (
-    "cluster_size",
-    "store_entries",
-    "queries_per_batch",
-    "batches",
-    "threads",
-    "reader_iters",
-)
-
-# Host-noisy throughputs: compare with a generous threshold.
-SERVED_NOISY = (
-    "service_qps",
-    "kernel_qps",
-    "reader_qps_coarse_lock",
-    "reader_qps_snapshot",
-    "multi_reader_scaling",
-)
-
-# The serving acceptance bar, checked on the NEW document regardless of
-# the baseline: the service must sustain at least this many (i, j, M)
-# queries/s through the full JSON path, and the snapshot read path must
-# strictly beat the coarse-lock path it replaced.
-SERVED_MIN_QPS = 10000.0
-SERVED_MIN_SCALING = 1.0
-
-
-def load_served(path):
-    """A serving-throughput document written by bench/bench_served."""
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") != "lmo.bench_served/1":
-        sys.exit(f"error: {path} is not a bench_served document "
-                 f"(schema {doc.get('schema')!r})")
-    return doc
-
-
-def diff_served(old, new, threshold):
-    """Violations between two serving-throughput documents, as printable
-    strings.
-
-    Workload knobs (SERVED_EXACT) and the model list fail on any
-    difference; throughputs (SERVED_NOISY) fail past the relative
-    threshold. The new document must also clear the absolute acceptance
-    bar (SERVED_MIN_QPS, SERVED_MIN_SCALING) on its own — a baseline that
-    slipped below the bar must not grandfather new runs in.
-    """
-    failures = []
-    for key in SERVED_EXACT:
-        if key in old and key in new and old[key] != new[key]:
-            failures.append(f"{key}: {old[key]:g} -> {new[key]:g} "
-                            f"(workload knob must match exactly)")
-    if old.get("models") != new.get("models"):
-        failures.append(f"models: {old.get('models')} -> "
-                        f"{new.get('models')}")
-    for key in SERVED_NOISY:
-        if key not in old or key not in new:
+        changed = [f"{k} {o.get(k)!r} -> {w.get(k)!r}"
+                   for k in ("unit", "better", "gate") if o.get(k) != w.get(k)]
+        if changed:
+            failures.append(f"{name}: {', '.join(changed)}")
             continue
-        change = rel_change(float(old[key]), float(new[key]))
-        if change > threshold:
-            failures.append(f"{key}: {old[key]:g} -> {new[key]:g} "
-                            f"({change:+.0%})")
-    qps = float(new.get("service_qps", 0.0))
-    if not (qps >= SERVED_MIN_QPS):
-        failures.append(f"service_qps {qps:g} below the acceptance bar "
-                        f"{SERVED_MIN_QPS:g}")
-    scaling = float(new.get("multi_reader_scaling", 0.0))
-    if not (scaling > SERVED_MIN_SCALING):
-        failures.append(f"multi_reader_scaling {scaling:g} not above "
-                        f"{SERVED_MIN_SCALING:g} (snapshot reads must beat "
-                        f"the coarse lock)")
-    return failures
-
-
-def load_tuner(path):
-    """The tuner_validation section of a bench_ext_tuner run report."""
-    with open(path) as f:
-        doc = json.load(f)
-    section = doc.get("tuner_validation") if isinstance(doc, dict) else None
-    if not isinstance(section, dict):
-        sys.exit(f"error: {path} carries no tuner_validation section "
-                 f"(run bench_ext_tuner with --report)")
-    return section
-
-
-def check_tuner(section, threshold):
-    """Violations of the tuner acceptance bar, as printable strings.
-
-    Every case of every cluster sweep must have regret <= threshold (the
-    chosen plan at most that much slower than the best simulated
-    candidate), and the sweep must be non-empty — an empty sweep passing
-    silently would gate nothing.
-    """
-    failures = []
-    cases = 0
-    for cluster, rows in sorted(section.items()):
-        if not isinstance(rows, list):
-            continue  # scalar summary keys (cases, max_regret, ...)
-        for row in rows:
-            cases += 1
-            regret = float(row.get("regret", math.inf))
-            if not (regret <= threshold):
-                failures.append(
-                    f"{cluster} {row.get('op', '?')} "
-                    f"M={row.get('message', 0):g}: chose "
-                    f"{row.get('chosen', '?')!r}, regret {regret:+.1%} "
-                    f"exceeds {threshold:.0%}")
-    if cases == 0:
-        failures.append("no sweep cases in the tuner_validation section")
-    return failures, cases
-
-
-def run_binary(binary, extra, gbench):
-    """Run the bench binary, return its flattened metric dict."""
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        out_path = tmp.name
-    try:
-        if gbench:
-            cmd = [binary, f"--benchmark_out={out_path}",
-                   "--benchmark_out_format=json"] + extra
+        a, b, gate = value(o), value(w), w["gate"]
+        moved = f"{name}: {a:g} -> {b:g} {w['unit']}"
+        if gate == "none":
+            continue
+        if not math.isfinite(b):
+            failures.append(f"{moved} (not finite)")
+        elif gate == "exact":
+            if a != b:
+                failures.append(f"{moved} (gate exact)")
+        elif gate == "threshold":
+            worse = b < a if w["better"] == "higher" else b > a
+            change = rel_change(a, b)
+            if change > threshold and (worse or not math.isfinite(a)):
+                failures.append(f"{moved} ({change:.0%} worse, bound "
+                                f"{threshold:.0%})")
         else:
-            cmd = [binary, "--report", out_path] + extra
-        print(f"running: {' '.join(cmd)}")
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        with open(out_path) as f:
-            report = json.load(f)
-    finally:
-        os.unlink(out_path)
-
-    if gbench:
-        if "benchmarks" not in report:
-            sys.exit("error: no 'benchmarks' array in the gbench output")
-    elif report.get("schema") != "lmo.run_report/1":
-        sys.exit(f"error: unexpected report schema {report.get('schema')!r}")
-    return report
+            failures.append(f"{name}: unknown gate {gate!r}")
+    return failures
 
 
 def self_test():
-    """Pytest-free sanity checks for the pure helpers (tools/check.sh runs
-    this; keep it dependency-free)."""
-    nan = float("nan")
+    """Dependency-free checks of the gate logic (ctest runs this)."""
+    nan = math.nan
     # rel_change: plain ratios, and no NaN leaking through comparisons.
-    assert rel_change(1.0, 1.0) == 0.0
-    assert rel_change(0.0, 0.0) == 0.0
+    assert rel_change(1.0, 1.0) == 0.0 and rel_change(0.0, 0.0) == 0.0
     assert abs(rel_change(100.0, 90.0) - 0.1) < 1e-12
     assert abs(rel_change(90.0, 100.0) - 0.1) < 1e-12
     assert rel_change(nan, nan) == 0.0
-    assert rel_change(nan, 1.0) == math.inf
-    assert rel_change(1.0, nan) == math.inf
+    assert rel_change(nan, 1.0) == math.inf == rel_change(1.0, nan)
     assert rel_change(math.inf, 1.0) == math.inf
     assert rel_change(math.inf, math.inf) == 0.0
     assert rel_change(0.0, 1.0) == 1.0
-    # The NaN cases must actually trip a threshold comparison.
-    assert rel_change(nan, 1.0) > 0.1
 
-    # flatten: nested dicts/lists, volatile keys skipped, bools skipped.
-    doc = {
-        "a": {"b": 1, "wall_seconds": 9.9},
-        "list": [2, {"c": 3}],
-        "flag": True,
-        "created_unix": 123,
-    }
-    assert flatten(doc) == {"a.b": 1.0, "list.0": 2.0, "list.1.c": 3.0}
+    def metric(name, v, gate="threshold", better="lower", unit="s"):
+        return {"name": name, "value": v, "unit": unit, "better": better,
+                "gate": gate}
 
-    # flatten_gbench: metrics kept, bookkeeping and context dropped.
-    gb = {
-        "context": {"num_cpus": 64, "mhz_per_cpu": 3000},
-        "benchmarks": [
-            {
-                "name": "BM_X/8",
-                "family_index": 0,
-                "iterations": 1000,
-                "real_time": 12.5,
-                "cpu_time": 12.0,
-                "time_unit": "ns",
-                "items_per_second": 8e7,
-                "allocs_per_event": 0.0,
-            }
-        ],
-    }
-    assert flatten_gbench(gb) == {
-        "BM_X/8.real_time": 12.5,
-        "BM_X/8.cpu_time": 12.0,
-        "BM_X/8.items_per_second": 8e7,
-        "BM_X/8.allocs_per_event": 0.0,
-    }
+    def record(*metrics, workload=None):
+        return {"schema": SCHEMA, "bench": "bench_x",
+                "host": {"cores": 4, "build": "release"},
+                "workload": workload or {"seed": 1, "models": ["lmo"]},
+                "metrics": list(metrics)}
 
-    # diff_points: shared-key regressions plus added/dropped keys.
-    old = {"keep": 1.0, "moved": 100.0, "dropped": 5.0, "to_nan": 1.0}
-    new = {"keep": 1.05, "moved": 50.0, "added": 7.0, "to_nan": nan}
-    regs, added, dropped = diff_points(old, new, threshold=0.10)
-    assert [k for _, k in regs] == ["to_nan", "moved"]  # worst first
-    assert regs[0][0] == math.inf
-    assert added == ["added"]
-    assert dropped == ["dropped"]
-    regs, added, dropped = diff_points({"a": 1.0}, {"a": 1.0}, 0.10)
-    assert (regs, added, dropped) == ([], [], [])
+    def fails(old, new, threshold=THRESHOLD_BOUND, needle=""):
+        got = diff(old, new, threshold)
+        assert len(got) == 1 and needle in got[0], got
+        return got
 
-    # diff_fidelity: identity passes, drift inside the absolute floor or
-    # the relative band passes, ranking swaps and large drifts fail.
-    def fid(*pairs):
-        return {"schema": "lmo.fidelity/1",
-                "ranking": [{"model": m, "mre": e} for m, e in pairs]}
+    base = record(metric("N=16.events", 61, "exact", unit="count"),
+                  metric("N=16.fit_s", 0.004),
+                  metric("qps", 850000.0, better="higher", unit="1/s"),
+                  metric("scaling_vs_single", 1.0, "none", "higher", "ratio"))
 
-    base = fid(("lmo", 0.10), ("plogp", 0.50), ("hockney", 0.90))
-    assert diff_fidelity(base, base, 0.25) == []
-    # 0.10 -> 0.11: inside the 0.02 absolute floor.
-    assert diff_fidelity(base, fid(("lmo", 0.11), ("plogp", 0.50),
-                                   ("hockney", 0.90)), 0.25) == []
-    # 0.50 -> 0.60: inside 25% relative.
-    assert diff_fidelity(base, fid(("lmo", 0.10), ("plogp", 0.60),
-                                   ("hockney", 0.90)), 0.25) == []
-    # 0.50 -> 0.70: outside both bounds.
-    fails = diff_fidelity(base, fid(("lmo", 0.10), ("plogp", 0.70),
-                                    ("hockney", 0.90)), 0.25)
-    assert len(fails) == 1 and "plogp" in fails[0]
-    # Ranking swap: two position mismatches.
-    fails = diff_fidelity(base, fid(("plogp", 0.50), ("lmo", 0.10),
-                                    ("hockney", 0.90)), 0.25)
-    assert len(fails) == 2
-    # A model appearing/disappearing changes the ranking length.
-    fails = diff_fidelity(base, fid(("lmo", 0.10), ("plogp", 0.50)), 0.25)
-    assert any("2 models" in f for f in fails)
+    def moved(**values):
+        return record(*[dict(m, value=values.get(m["name"], m["value"]))
+                        for m in base["metrics"]])
 
-    # diff_scale: identity passes, noisy drift inside the threshold passes,
-    # work-count drift of any size fails, Ns may not come or go.
-    def scale(*rows):
-        return {"schema": "lmo.bench_scale/1",
-                "series": [
-                    {"ranks": n, "events": ev, "triplets": tr,
-                     "scale_fit_s": fit, "peak_rss_kb": rss}
-                    for n, ev, tr, fit, rss in rows]}
-
-    sbase = scale((16, 3200, 3, 0.004, 4096), (256, 51200, 9, 0.18, 5120))
-    assert diff_scale(sbase, sbase, 0.50) == []
-    # Timings 40% apart: inside the generous 50% band.
-    assert diff_scale(sbase, scale((16, 3200, 3, 0.0056, 4096),
-                                   (256, 51200, 9, 0.25, 5120)), 0.50) == []
-    # A fit 3x slower is a failure even in the noisy band.
-    fails = diff_scale(sbase, scale((16, 3200, 3, 0.012, 4096),
-                                    (256, 51200, 9, 0.18, 5120)), 0.50)
-    assert len(fails) == 1 and "scale_fit_s" in fails[0] and "N=16" in fails[0]
-    # One event more is a failure: work counts are deterministic.
-    fails = diff_scale(sbase, scale((16, 3201, 3, 0.004, 4096),
-                                    (256, 51200, 9, 0.18, 5120)), 0.50)
-    assert len(fails) == 1 and "events" in fails[0] and "exactly" in fails[0]
-    # Dropping and adding an N both fail, keyed by ranks not row order.
-    fails = diff_scale(sbase, scale((256, 51200, 9, 0.18, 5120),
-                                    (1024, 819200, 12, 2.3, 8192)), 0.50)
-    assert sorted(fails) == ["N=1024 appeared in the series",
-                             "N=16 vanished from the series"]
-
-    # diff_served: identity passes, noisy drift inside the threshold
-    # passes, workload-knob drift fails, and the acceptance bar applies to
-    # the new document no matter what the baseline says.
-    def served(qps=850000.0, kernel=9.7e7, coarse=9.3e6, snap=1.39e7,
-               scaling=1.50, batch=2048, threads=4,
-               models=("lmo", "hockney", "original")):
-        return {"schema": "lmo.bench_served/1", "cluster_size": 16,
-                "store_entries": 3996, "queries_per_batch": batch,
-                "batches": 16, "threads": threads, "reader_iters": 200000,
-                "models": list(models), "service_qps": qps,
-                "kernel_qps": kernel, "reader_qps_coarse_lock": coarse,
-                "reader_qps_snapshot": snap, "multi_reader_scaling": scaling}
-
-    vbase = served()
-    assert diff_served(vbase, vbase, 0.50) == []
-    # 40% slower service path: inside the generous band, above the bar.
-    assert diff_served(vbase, served(qps=510000.0), 0.50) == []
-    # 3x slower: a failure even in the noisy band.
-    fails = diff_served(vbase, served(qps=280000.0), 0.50)
-    assert len(fails) == 1 and "service_qps" in fails[0]
-    # A different batch shape is not comparable.
-    fails = diff_served(vbase, served(batch=512), 0.50)
-    assert len(fails) == 1 and "queries_per_batch" in fails[0]
-    # A model vanishing from the served set fails.
-    fails = diff_served(vbase, served(models=("lmo", "hockney")), 0.50)
-    assert len(fails) == 1 and "models" in fails[0]
-    # Below the absolute bar fails even if the baseline matches: both
-    # documents at 8k qps drift 0% but still violate the floor.
-    slow = served(qps=8000.0)
-    fails = diff_served(slow, slow, 0.50)
-    assert len(fails) == 1 and "acceptance bar" in fails[0]
-    # Scaling at or below 1.0 means readers serialize again: fail. The
-    # threshold band cannot save it (1.50 -> 0.98 is within 50%), and a
-    # missing/NaN scaling can never sneak past the comparison.
-    fails = diff_served(vbase, served(scaling=0.98), 0.50)
-    assert len(fails) == 1 and "coarse lock" in fails[0]
-    fails = diff_served(vbase, served(scaling=nan), 0.50)
-    assert any("coarse lock" in f for f in fails)
-
-    # check_tuner: all cases within the bar passes, one case over fails
-    # with its (cluster, op, size, plan) row, an empty section fails, and
-    # a missing/NaN regret can never sneak past the comparison.
-    def tuner(**clusters):
-        return {
-            "cases": float(sum(len(v) for v in clusters.values())),
-            "max_regret": 0.0,
-            **{
-                name: [
-                    {"op": op, "message": m, "chosen": plan, "regret": r}
-                    for op, m, plan, r in rows
-                ]
-                for name, rows in clusters.items()
-            },
-        }
-
-    ok = tuner(flat=[("bcast", 1024, "binomial", 0.0),
-                     ("scatter", 65536, "linear seg@8 KB", 0.08)])
-    fails, cases = check_tuner(ok, 0.10)
-    assert fails == [] and cases == 2
-    bad = tuner(flat=[("bcast", 1024, "binomial", 0.0)],
-                multicore=[("bcast", 65536, "chain seg@2 KB", 0.31)])
-    fails, cases = check_tuner(bad, 0.10)
-    assert len(fails) == 1 and cases == 2
-    assert "multicore" in fails[0] and "chain seg@2 KB" in fails[0]
-    fails, cases = check_tuner(tuner(), 0.10)
-    assert cases == 0 and any("no sweep cases" in f for f in fails)
-    fails, _ = check_tuner(tuner(flat=[("bcast", 1024, "x", nan)]), 0.10)
-    assert len(fails) == 1  # NaN regret fails the bar, never passes it
-
+    assert diff(base, base) == []
+    # Host fields are information only.
+    assert diff(base, dict(base, host={"cores": 1})) == []
+    # exact: one event more fails, however small.
+    fails(base, moved(**{"N=16.events": 62}), needle="gate exact")
+    # threshold, worse direction: 40% inside the band passes, 3x fails.
+    assert diff(base, moved(**{"N=16.fit_s": 0.0056, "qps": 510000.0})) == []
+    fails(base, moved(**{"N=16.fit_s": 0.012}), needle="N=16.fit_s")
+    fails(base, moved(qps=280000.0), needle="qps")
+    # threshold, better direction: any size passes.
+    assert diff(base, moved(**{"N=16.fit_s": 0.0001, "qps": 2.8e8})) == []
+    # none: never gated, not even a NaN.
+    assert diff(base, moved(scaling_vs_single=nan)) == []
+    # NaN (or null) values fail every gate, in either direction.
+    fails(base, moved(qps=nan), needle="not finite")
+    fails(base, moved(**{"N=16.events": None}), needle="not finite")
+    fails(moved(qps=nan), base, needle="qps")
+    # Added and dropped metrics fail, e.g. a rank count coming or going.
+    extra = record(*base["metrics"], metric("N=256.events", 1021, "exact"))
+    fails(base, extra, needle="N=256.events: added")
+    fails(extra, base, needle="N=256.events: dropped")
+    # Workload mismatches fail: a batch shape or a shorter model list.
+    fails(base, record(*base["metrics"],
+                       workload={"seed": 2, "models": ["lmo"]}),
+          needle="workload.seed: 1 -> 2")
+    fails(base, record(*base["metrics"], workload={"seed": 1, "models": []}),
+          needle="workload.models")
+    fails(base, record(*base["metrics"], workload={"seed": 1}),
+          needle="workload.models")
+    fails(base, dict(base, bench="bench_y"), needle="bench")
+    # A changed unit, better or gate fails.
+    for key, v in (("unit", "ms"), ("better", "higher"), ("gate", "none")):
+        changed = [dict(m) for m in base["metrics"]]
+        changed[1][key] = v
+        fails(base, record(*changed), needle=f"N=16.fit_s: {key}")
+    # --threshold overrides the bound, tighter or looser.
+    fails(base, moved(qps=700000.0), threshold=0.1, needle="bound 10%")
+    assert diff(base, moved(**{"N=16.fit_s": 1.0, "qps": 1.0}), 1e9) == []
+    # ...but not the exact gate or a NaN.
+    fails(base, moved(**{"N=16.events": 62}), threshold=1e9, needle="exact")
+    fails(base, moved(qps=nan), threshold=1e9, needle="not finite")
     print("bench_report.py self-test passed")
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument(
-        "bench", nargs="?",
-        help="bench binary name, e.g. bench_table2_predictions")
-    parser.add_argument("--build-dir", default="build", help="CMake build directory")
-    parser.add_argument(
-        "--history", default="bench/reports", help="directory holding BENCH_*.json points"
-    )
-    parser.add_argument(
-        "--name",
-        help="point file name: BENCH_<name>.json (default: the binary name)",
-    )
-    parser.add_argument(
-        "--gbench",
-        action="store_true",
-        help="the binary is a google-benchmark microbenchmark, not a "
-        "--report binary",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative change that counts as a regression "
-        "(default 0.10; 0.25 with --fidelity-diff)",
-    )
-    parser.add_argument(
-        "--update", action="store_true", help="save the new point even on regressions"
-    )
-    parser.add_argument(
-        "--fidelity-diff", nargs=2, metavar=("OLD", "NEW"),
-        help="compare two fidelity documents (ranking + per-model MRE "
-        "drift) instead of running a binary",
-    )
-    parser.add_argument(
-        "--scale-diff", nargs=2, metavar=("OLD", "NEW"),
-        help="compare two bench_scale series documents by rank count "
-        "instead of running a binary",
-    )
-    parser.add_argument(
-        "--served-diff", nargs=2, metavar=("OLD", "NEW"),
-        help="compare two bench_served throughput documents and enforce "
-        "the serving acceptance bar instead of running a binary",
-    )
-    parser.add_argument(
-        "--tuner-gate", metavar="REPORT",
-        help="check every case of a bench_ext_tuner run report's "
-        "tuner_validation section against the regret bar instead of "
-        "running a binary",
-    )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help="run the built-in checks of the pure helpers and exit",
-    )
-    # Split off bench-binary arguments ourselves: argparse (before 3.13)
-    # mis-parses option-like tokens after "--" as unrecognized options.
-    argv = sys.argv[1:]
-    extra = []
-    if "--" in argv:
-        split = argv.index("--")
-        argv, extra = argv[:split], argv[split + 1:]
-    args = parser.parse_args(argv)
-    args.extra = extra
-
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old", nargs="?", metavar="OLD",
+                        help="baseline lmo.bench/1 record")
+    parser.add_argument("new", nargs="?", metavar="NEW",
+                        help="lmo.bench/1 record under test")
+    parser.add_argument("--threshold", type=float, default=THRESHOLD_BOUND,
+                        help="relative worse-direction bound of every "
+                        "threshold metric (default %(default)s)")
+    parser.add_argument("--self-test", action="store_true",
+                        help="run the built-in checks and exit")
+    args = parser.parse_args()
     if args.self_test:
         self_test()
         return
-    if args.fidelity_diff:
-        threshold = 0.25 if args.threshold is None else args.threshold
-        old_path, new_path = args.fidelity_diff
-        failures = diff_fidelity(
-            load_fidelity(old_path), load_fidelity(new_path), threshold)
-        for failure in failures:
-            print(f"fidelity: FAIL {failure}")
-        if failures:
-            sys.exit(1)
-        models = [r["model"] for r in load_fidelity(new_path)["ranking"]]
-        print(f"fidelity: ranking unchanged ({' > '.join(models)}; most "
-              f"accurate first), per-model accuracy within bounds")
-        return
-    if args.scale_diff:
-        threshold = 0.50 if args.threshold is None else args.threshold
-        old_path, new_path = args.scale_diff
-        new_doc = load_scale(new_path)
-        failures = diff_scale(load_scale(old_path), new_doc, threshold)
-        for failure in failures:
-            print(f"scale: FAIL {failure}")
-        if failures:
-            sys.exit(1)
-        ns = [str(row["ranks"]) for row in new_doc.get("series", [])]
-        print(f"scale: series match at N = {', '.join(ns)} (work counts "
-              f"exact, timings within {threshold:.0%})")
-        return
-    if args.served_diff:
-        threshold = 0.50 if args.threshold is None else args.threshold
-        old_path, new_path = args.served_diff
-        new_doc = load_served(new_path)
-        failures = diff_served(load_served(old_path), new_doc, threshold)
-        for failure in failures:
-            print(f"served: FAIL {failure}")
-        if failures:
-            sys.exit(1)
-        print(f"served: {new_doc['service_qps']:,.0f} queries/s through "
-              f"the service path (bar {SERVED_MIN_QPS:,.0f}), reader "
-              f"scaling {new_doc['multi_reader_scaling']:.2f}x over the "
-              f"coarse lock (bar > {SERVED_MIN_SCALING:g}); throughputs "
-              f"within {threshold:.0%} of baseline")
-        return
-    if args.tuner_gate:
-        threshold = 0.10 if args.threshold is None else args.threshold
-        failures, cases = check_tuner(load_tuner(args.tuner_gate), threshold)
-        for failure in failures:
-            print(f"tuner: FAIL {failure}")
-        if failures:
-            sys.exit(1)
-        print(f"tuner: all {cases} sweep cases within {threshold:.0%} "
-              f"regret of the best simulated candidate")
-        return
-    if not args.bench:
-        parser.error("bench binary name required (or --self-test / "
-                     "--fidelity-diff / --scale-diff / --served-diff / "
-                     "--tuner-gate)")
-    if args.threshold is None:
-        args.threshold = 0.10
-
-    binary = os.path.join(args.build_dir, "bench", args.bench)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the repo first)")
-
-    report = run_binary(binary, args.extra, args.gbench)
-    new = flatten_gbench(report) if args.gbench else flatten(report)
-    print(f"{len(new)} numeric metrics in the new report")
-
-    os.makedirs(args.history, exist_ok=True)
-    point_name = args.name if args.name else args.bench
-    point_path = os.path.join(args.history, f"BENCH_{point_name}.json")
-    if not os.path.exists(point_path):
-        with open(point_path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        print(f"no previous point; saved baseline to {point_path}")
-        return
-
-    with open(point_path) as f:
-        old_report = json.load(f)
-    old = flatten_gbench(old_report) if args.gbench else flatten(old_report)
-
-    regressions, added, dropped = diff_points(old, new, args.threshold)
-    for key in added:
-        print(f"  new metric: {key} = {new[key]:g}")
-    for key in dropped:
-        print(f"  dropped metric: {key} (was {old[key]:g})")
-
-    if regressions:
-        print(f"\n{len(regressions)} metric(s) moved more than "
-              f"{args.threshold:.0%} vs {point_path}:")
-        for change, key in regressions:
-            print(f"  {key}: {old[key]:g} -> {new[key]:g}  ({change:+.1%})")
-    else:
-        shared = len(set(old) & set(new))
-        print(f"all {shared} shared metrics within "
-              f"{args.threshold:.0%} of {point_path}")
-
-    failed = bool(regressions or added or dropped)
-    if not failed or args.update:
-        with open(point_path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        print(f"saved new point to {point_path}")
-    if failed and not args.update:
+    if args.new is None:
+        parser.error("OLD and NEW records are required (or --self-test)")
+    old, new = load(args.old), load(args.new)
+    failures = diff(old, new, args.threshold)
+    for failure in failures:
+        print(f"{new['bench']}: FAIL {failure}")
+    if failures:
         sys.exit(1)
+    gates = [m["gate"] for m in new["metrics"]]
+    print(f"{new['bench']}: {len(gates)} metrics match {args.old} "
+          f"({gates.count('exact')} exact, {gates.count('threshold')} "
+          f"threshold, {gates.count('none')} ungated)")
 
 
 if __name__ == "__main__":

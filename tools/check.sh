@@ -37,7 +37,7 @@ if ! command -v ninja >/dev/null 2>&1 && ! command -v make >/dev/null 2>&1; then
   exit 2
 fi
 if ! command -v python3 >/dev/null 2>&1; then
-  echo "tools/check.sh: python3 not found in PATH (needed for tools/bench_report.py)" >&2
+  echo "tools/check.sh: python3 not found in PATH (needed for the clean-clone check and the bench differ self-test)" >&2
   exit 2
 fi
 if ! command -v git >/dev/null 2>&1; then
@@ -56,9 +56,6 @@ fi
 # CMakeLists.txt lists and every quoted #include must be tracked by git.
 echo "== clean clone =="
 python3 tools/check_clean_clone.py
-
-echo "== tooling self-tests =="
-python3 tools/bench_report.py --self-test
 
 echo "== regular build =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo ${LAUNCHER:+$LAUNCHER}
